@@ -58,7 +58,6 @@ def build_parser():
     p.add_argument("--noise", choices=("auto", "projective", "susceptibility"),
                    default="auto")
     p.add_argument("--sector", choices=("full", "maximal"), default="full")
-    p.add_argument("--fd-step", type=float, default=None)
     p.add_argument("--ghz", nargs=3, type=float, metavar=("EPS", "OMEGA", "G"),
                    default=None,
                    help="physical frequencies in GHz; --beta-omega is then read "
@@ -111,8 +110,7 @@ def _cmd_snr(args):
     else:
         p = ProbeParams(args.N, args.epsilon, 1.0, args.g)
         beta = args.beta_omega
-    pt = snr_exact(p, beta, fd_step=args.fd_step, n_max=args.n_max,
-                   noise=args.noise, sector=args.sector)
+    pt = snr_exact(p, beta, n_max=args.n_max, noise=args.noise, sector=args.sector)
     print(json.dumps({
         "beta_omega": beta, "snr": pt.snr, "snr_weak": pt.snr_weak,
         "delta_snr": pt.delta_snr, "ratio": pt.snr / pt.snr_weak,

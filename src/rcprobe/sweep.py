@@ -19,7 +19,6 @@ Recognized keys:
   sector           full | maximal
   noise            auto | projective | susceptibility
   n_max            Fock cutoff (rabi_exact/grwa); "auto" converges per point
-  fd_step          finite-difference step for d<Jz>/d eps
 
 Output rows carry the fixed column set
 grid_value, beta_omega, snr, snr_weak, delta_snr, n_max, converged, phase, eta
@@ -60,7 +59,7 @@ _AXES = ("beta_omega", "g_over_omega", "epsilon_over_omega", "gbar_over_omega", 
 _KNOWN_KEYS = {
     "schema_version", "model", "N", "epsilon", "g", "gbar", "grid_axis",
     "grid_values", "grid_start", "grid_stop", "grid_points", "grid_scale",
-    "beta_omega", "convention", "sector", "noise", "n_max", "fd_step",
+    "beta_omega", "convention", "sector", "noise", "n_max",
 }
 
 
@@ -78,7 +77,6 @@ class SweepConfig:
     sector: str = "full"
     noise: str = "auto"
     n_max: int | str = 64
-    fd_step: float | None = None
 
 
 def parse_config_text(text) -> SweepConfig:
@@ -172,7 +170,6 @@ def parse_config_text(text) -> SweepConfig:
         sector=kv.get("sector", "full"),
         noise=kv.get("noise", "auto"),
         n_max=n_max,
-        fd_step=fnum("fd_step"),
     )
     for field, val, allowed in (
         ("convention", cfg.convention, ("difference", "per_spin")),
@@ -236,13 +233,11 @@ def _row(cfg: SweepConfig, x):
                 if cfg.n_max == "auto"
                 else cfg.n_max
             )
-            pt = snr_exact(p, beta, fd_step=cfg.fd_step, n_max=n_used,
-                           noise=cfg.noise, sector=cfg.sector,
-                           convention=cfg.convention)
-            half = snr_exact(p, beta, fd_step=cfg.fd_step, n_max=max(n_used // 2, 8),
-                             noise=cfg.noise, sector=cfg.sector,
-                             convention=cfg.convention)
-            converged = abs(pt.snr - half.snr) <= 1e-6 * max(abs(pt.snr), 1e-300)
+            pt = snr_exact(p, beta, n_max=n_used, noise=cfg.noise,
+                           sector=cfg.sector, convention=cfg.convention)
+            half = snr_exact(p, beta, n_max=max(n_used // 2, 8), noise=cfg.noise,
+                             sector=cfg.sector, convention=cfg.convention)
+            converged = bool(abs(pt.snr - half.snr) <= 1e-6 * max(abs(pt.snr), 1e-300))
             snr, sw = pt.snr, pt.snr_weak
     except RcprobeError:
         return {

@@ -85,32 +85,34 @@ def eigendecompose(H: OperatorMatrix) -> EigenSystem:
     if not np.allclose(A, A.T, atol=0.0):
         raise NumericalDomainError("eigendecompose requires an exactly symmetric matrix")
     w, V = np.linalg.eigh(A)
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size and col[nz[0]] < 0:
-            V[:, k] = -col
+    # row of the first entry above 1e-12 in each column
+    first = np.argmax(np.abs(V) > 1e-12, axis=0)
+    V *= np.where(V[first, np.arange(V.shape[1])] < 0, -1.0, 1.0)
     return EigenSystem(eigenvalues=w, eigenvectors=V, basis=H.basis)
 
 
 def _phi(x):
     # (1 - e^{-x}) / x, stable at x -> 0
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
     small = np.abs(x) < 1e-8
     xs = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - 0.5 * x, -np.expm1(-xs) / xs)
-    return out
+    return np.where(small, 1.0 - 0.5 * x, -np.expm1(-xs) / xs)
 
 
-def _sector_data(p: ProbeParams, n_max, sector="full", dim_cap=20000):
-    """Eigen-data per total-spin sector: (mult, E, diag Jz, diag Jz^2, M)."""
+def _sector_eigensystems(p: ProbeParams, n_max, sector="full"):
+    """(J, mult, EigenSystem) per total-spin sector ("maximal": J = N/2 only)."""
     dec = sector_multiplicities(p.N)
     sectors = dec.sectors if sector == "full" else dec.sectors[:1]
+    return [
+        (J, mult, eigendecompose(build_mapped_hamiltonian(p, J, n_max)))
+        for J, mult in sectors
+    ]
+
+
+def _sector_data(p: ProbeParams, n_max, sector="full"):
+    """Eigen-data per total-spin sector: (mult, E, diag Jz, diag Jz^2, M)."""
     out = []
-    for J, mult in sectors:
-        H = build_mapped_hamiltonian(p, J, n_max, dim_cap=dim_cap)
-        es = eigendecompose(H)
+    for J, mult, es in _sector_eigensystems(p, n_max, sector):
         jz = np.diag(composite_jz(J, n_max).entries)
         V = es.eigenvectors
         # M = V^T Jz V; Jz diagonal, so scale rows
@@ -141,11 +143,11 @@ def _combine(data, beta):
     return lnz, num1 / zt, num2 / zt, numk / zt
 
 
-def thermal_observables(p: ProbeParams, beta, n_max, sector="full", dim_cap=20000):
+def thermal_observables(p: ProbeParams, beta, n_max, sector="full"):
     """Partition function and Jz moments of the composite Gibbs state."""
     if beta <= 0:
         raise NumericalDomainError(f"beta must be positive, got {beta}")
-    data = _sector_data(p, n_max, sector, dim_cap)
+    data = _sector_data(p, n_max, sector)
     lnz, m1, m2, mk = _combine(data, beta)
     return ThermalObservables(
         beta=beta,
@@ -157,31 +159,29 @@ def thermal_observables(p: ProbeParams, beta, n_max, sector="full", dim_cap=2000
     )
 
 
-def _mean_jz(p, beta, n_max, sector, dim_cap=20000):
-    data = _sector_data(p, n_max, sector, dim_cap)
-    return _combine(data, beta)[1]
+def djz_deps(p: ProbeParams, beta, n_max, sector="full"):
+    """d<Jz>/d eps = -beta Var_Kubo(Jz), exact static linear response."""
+    return -beta * thermal_observables(p, beta, n_max, sector).var_Jz_kubo
 
 
-def djz_deps(p: ProbeParams, beta, n_max, fd_step=None, sector="full"):
-    """d<Jz>/d eps by Richardson-extrapolated central differences."""
-    h = fd_step if fd_step is not None else 1e-4 * p.omega
-    if h <= 0:
-        raise NumericalDomainError(f"fd_step must be positive, got {h}")
-
-    def cd(step):
-        up = _mean_jz(p.replace_epsilon(p.epsilon + step), beta, n_max, sector)
-        dn = _mean_jz(p.replace_epsilon(p.epsilon - step), beta, n_max, sector)
-        return (up - dn) / (2.0 * step)
-
-    d_h = cd(h)
-    d_h2 = cd(0.5 * h)
-    return (4.0 * d_h2 - d_h) / 3.0
+def _snr(p: ProbeParams, obs: ThermalObservables, noise):
+    """S = |d<Jz>/d eps|^2 / Var(Jz) from one point's thermal observables."""
+    if noise not in NOISE_CHANNELS:
+        raise NumericalDomainError(f"unknown noise channel {noise!r}")
+    if noise == "auto":
+        noise = "projective" if p.N == 1 else "susceptibility"
+    var = obs.var_Jz if noise == "projective" else obs.var_Jz_kubo
+    if var < 1e-14 * p.N**2:
+        raise NumericalDomainError(
+            f"variance {var:.3e} degenerate (T -> 0 with a pure Jz eigenstate)"
+        )
+    slope = -obs.beta * obs.var_Jz_kubo
+    return slope * slope / var
 
 
 def snr_exact(
     p: ProbeParams,
     beta,
-    fd_step=None,
     n_max=128,
     noise="auto",
     sector="full",
@@ -193,18 +193,7 @@ def snr_exact(
     picks delta_snr = snr - snr_weak ("difference") or the same divided by N
     ("per_spin").
     """
-    if noise not in NOISE_CHANNELS:
-        raise NumericalDomainError(f"unknown noise channel {noise!r}")
-    if noise == "auto":
-        noise = "projective" if p.N == 1 else "susceptibility"
-    obs = thermal_observables(p, beta, n_max, sector)
-    var = obs.var_Jz if noise == "projective" else obs.var_Jz_kubo
-    if var < 1e-14 * p.N**2:
-        raise NumericalDomainError(
-            f"variance {var:.3e} degenerate (T -> 0 with a pure Jz eigenstate)"
-        )
-    slope = djz_deps(p, beta, n_max, fd_step, sector)
-    snr = slope * slope / var
+    snr = _snr(p, thermal_observables(p, beta, n_max, sector), noise)
     sw = weak_snr(p.N, p.epsilon, beta).snr
     delta = snr - sw
     if convention == "per_spin":
@@ -228,9 +217,8 @@ def converge_nmax(
     prev = None
     n = start
     while n <= cap:
-        obs = thermal_observables(p, beta, n, sector, dim_cap=10**9)
-        pt = snr_exact(p, beta, n_max=n, noise=noise, sector=sector)
-        cur = (obs.lnZ, obs.mean_Jz, pt.snr)
+        obs = thermal_observables(p, beta, n, sector)
+        cur = (obs.lnZ, obs.mean_Jz, _snr(p, obs, noise))
         if prev is not None:
             dz = abs(cur[0] - prev[0]) / max(abs(cur[0]), 1.0)
             dm = abs(cur[1] - prev[1]) / max(abs(cur[1]), 1e-30)
@@ -252,17 +240,9 @@ def reduced_probe_state(p: ProbeParams, beta, n_max, sector="full"):
     multiplicity; labels lists (J, copy_index) per block.  Trace 1,
     symmetric, positive semidefinite.
     """
-    dec = sector_multiplicities(p.N)
-    sectors = dec.sectors if sector == "full" else dec.sectors[:1]
+    raw = _sector_eigensystems(p, n_max, sector)
+    e0 = min(es.eigenvalues[0] for _, _, es in raw)
     blocks = []
-    e0 = None
-    raw = []
-    for J, mult in sectors:
-        H = build_mapped_hamiltonian(p, J, n_max)
-        es = eigendecompose(H)
-        raw.append((J, mult, es))
-        lo = es.eigenvalues[0]
-        e0 = lo if e0 is None else min(e0, lo)
     total = 0.0
     for J, mult, es in raw:
         ds = int(round(2 * J + 1))

@@ -172,6 +172,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_sweep_json_rabi_exact(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        "schema_version = 1\nmodel = rabi_exact\nN = 1\nepsilon = 1.0\n"
+        "g = 0.3\ngrid_axis = beta_omega\ngrid_values = 2, 5\nn_max = 16\n"
+    )
+    assert main(["sweep", "--config", str(cfg), "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["grid_value"] for r in rows] == [2.0, 5.0]
+    assert all(isinstance(r["converged"], bool) for r in rows)
+
+
 def test_cli_dicke_json(capsys):
     assert main(["dicke", "--epsilon", "0.5", "--gbar", "0.9",
                  "--beta-omega", "5"]) == 0

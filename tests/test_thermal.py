@@ -8,6 +8,7 @@ from rcprobe.errors import ConvergenceError, NumericalDomainError
 from rcprobe.operators import OperatorMatrix, ProbeParams, build_mapped_hamiltonian
 from rcprobe.thermal import (
     converge_nmax,
+    djz_deps,
     eigendecompose,
     reduced_probe_state,
     snr_exact,
@@ -100,6 +101,8 @@ def test_kubo_moment_is_lnz_curvature():
         expect = (d2 + d1 * d1) / beta**2
         obs = thermal_observables(p, beta, 40)
         assert obs.mean_Jz2_kubo == pytest.approx(expect, rel=1e-5)
+        # static linear response: d<Jz>/deps = -(1/beta) d2 lnZ/deps2
+        assert djz_deps(p, beta, 40) == pytest.approx(-d2 / beta, rel=1e-5)
 
 
 def test_channels_coincide_at_g0():
@@ -118,6 +121,17 @@ def test_snr_continuity_in_g():
     p = ProbeParams(N=1, epsilon=1.0, omega=1.0, g=1e-4)
     pt = snr_exact(p, 5.0, n_max=24)
     assert pt.snr / pt.snr_weak == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("N, n_max, ref", [
+    (1, 32, 6.25000335620458e-10),
+    (2, 12, 5.00000146572511e-8),
+])
+def test_snr_matches_40_digit_reference(N, n_max, ref):
+    # eps = omega = 1, g = 1e-4, beta*omega = 40; ref from the same truncated
+    # Hamiltonian diagonalized in 40-digit arithmetic (mpmath.eigsy)
+    p = ProbeParams(N=N, epsilon=1.0, omega=1.0, g=1e-4)
+    assert snr_exact(p, 40.0, n_max=n_max).snr == pytest.approx(ref, rel=1e-4)
 
 
 def test_truncation_cauchy_convergence():
