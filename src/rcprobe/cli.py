@@ -113,7 +113,7 @@ def _cmd_snr(args):
     pt = snr_exact(p, beta, n_max=args.n_max, noise=args.noise, sector=args.sector)
     print(json.dumps({
         "beta_omega": beta, "snr": pt.snr, "snr_weak": pt.snr_weak,
-        "delta_snr": pt.delta_snr, "ratio": pt.snr / pt.snr_weak,
+        "delta_snr": pt.snr - pt.snr_weak, "ratio": pt.snr / pt.snr_weak,
         "n_max": args.n_max,
     }, indent=2))
     return 0

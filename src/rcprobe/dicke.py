@@ -147,7 +147,7 @@ def dicke_observables(p: DickeParams, beta) -> ThermalObservables:
 
 
 def dicke_snr(p: DickeParams, beta) -> SnrPoint:
-    """Per-spin SNR by the two-branch closed form; delta = (S - S_weak)/N."""
+    """Total SNR S (N times the per-spin closed form of either branch) and S_weak."""
     sw = weak_snr(p.N, p.epsilon, beta).snr
     if _phase(p, beta) == NORMAL:
         s = p.N * weak_snr(1, p.epsilon, beta).snr
@@ -156,8 +156,7 @@ def dicke_snr(p: DickeParams, beta) -> SnrPoint:
         if den <= 0:
             raise NumericalDomainError("superradiant branch requires 16 gbar^4 > eps^2 omega^2")
         s = p.N * p.omega**2 / den
-    return SnrPoint(beta=beta, snr=s, snr_weak=sw,
-                    delta_snr=(s - sw) / p.N, convention="per_spin")
+    return SnrPoint(beta=beta, snr=s, snr_weak=sw)
 
 
 def dicke_solution(p: DickeParams, beta) -> DickeSolution:

@@ -18,7 +18,9 @@ Recognized keys:
   convention       difference | per_spin   (delta_snr convention)
   sector           full | maximal
   noise            auto | projective | susceptibility
-  n_max            Fock cutoff (rabi_exact/grwa); "auto" converges per point
+  n_max            Fock cutoff (rabi_exact/grwa); "auto" converges per point.
+                   converged: fixed n_max, S(n) agrees with S(max(n/2, 8)) to
+                   1e-6; auto, lnZ, <Jz> and S are stable against 2*n_max
 
 Output rows carry the fixed column set
 grid_value, beta_omega, snr, snr_weak, delta_snr, n_max, converged, phase, eta
@@ -227,16 +229,14 @@ def _row(cfg: SweepConfig, x):
             derivs = ground_energy_derivs(p.N, p.epsilon, 1.0, p.g)
             snr = asymptotic_snr(p.N, derivs, beta)
             sw = weak_snr(p.N, p.epsilon, beta).snr
-        else:  # rabi_exact
-            n_used = (
-                converge_nmax(p, beta, noise=cfg.noise, sector=cfg.sector)
-                if cfg.n_max == "auto"
-                else cfg.n_max
-            )
-            pt = snr_exact(p, beta, n_max=n_used, noise=cfg.noise,
-                           sector=cfg.sector, convention=cfg.convention)
+        elif cfg.n_max == "auto":  # rabi_exact; the loop's stability test decides
+            n_used, snr = converge_nmax(p, beta, noise=cfg.noise, sector=cfg.sector)
+            sw = weak_snr(p.N, p.epsilon, beta).snr
+        else:  # rabi_exact at a fixed cutoff, checked against half of it
+            n_used = cfg.n_max
+            pt = snr_exact(p, beta, n_max=n_used, noise=cfg.noise, sector=cfg.sector)
             half = snr_exact(p, beta, n_max=max(n_used // 2, 8), noise=cfg.noise,
-                             sector=cfg.sector, convention=cfg.convention)
+                             sector=cfg.sector)
             converged = bool(abs(pt.snr - half.snr) <= 1e-6 * max(abs(pt.snr), 1e-300))
             snr, sw = pt.snr, pt.snr_weak
     except RcprobeError:

@@ -35,7 +35,6 @@ from .operators import (
     OperatorMatrix,
     ProbeParams,
     build_mapped_hamiltonian,
-    composite_jz,
     sector_multiplicities,
 )
 
@@ -71,8 +70,6 @@ class SnrPoint:
     beta: float
     snr: float
     snr_weak: float
-    delta_snr: float
-    convention: str = "difference"  # or "per_spin"
 
 
 def eigendecompose(H: OperatorMatrix) -> EigenSystem:
@@ -113,7 +110,8 @@ def _sector_data(p: ProbeParams, n_max, sector="full"):
     """Eigen-data per total-spin sector: (mult, E, diag Jz, diag Jz^2, M)."""
     out = []
     for J, mult, es in _sector_eigensystems(p, n_max, sector):
-        jz = np.diag(composite_jz(J, n_max).entries)
+        # diagonal of Jz x 1: each m repeated over the Fock index
+        jz = np.repeat(-J + np.arange(int(round(2 * J)) + 1), n_max + 1)
         V = es.eigenvectors
         # M = V^T Jz V; Jz diagonal, so scale rows
         M = V.T @ (jz[:, None] * V)
@@ -179,28 +177,14 @@ def _snr(p: ProbeParams, obs: ThermalObservables, noise):
     return slope * slope / var
 
 
-def snr_exact(
-    p: ProbeParams,
-    beta,
-    n_max=128,
-    noise="auto",
-    sector="full",
-    convention="difference",
-):
+def snr_exact(p: ProbeParams, beta, n_max=128, noise="auto", sector="full"):
     """Exact SNR S = |d<Jz>/d eps|^2 / noise at one parameter point.
 
-    `noise` selects the variance channel (see module docstring); `convention`
-    picks delta_snr = snr - snr_weak ("difference") or the same divided by N
-    ("per_spin").
+    `noise` selects the variance channel (see module docstring).  Returns
+    SnrPoint(beta, snr, snr_weak); snr_weak is the closed-form g = 0 value.
     """
     snr = _snr(p, thermal_observables(p, beta, n_max, sector), noise)
-    sw = weak_snr(p.N, p.epsilon, beta).snr
-    delta = snr - sw
-    if convention == "per_spin":
-        delta /= p.N
-    elif convention != "difference":
-        raise NumericalDomainError(f"unknown delta-snr convention {convention!r}")
-    return SnrPoint(beta=beta, snr=snr, snr_weak=sw, delta_snr=delta, convention=convention)
+    return SnrPoint(beta=beta, snr=snr, snr_weak=weak_snr(p.N, p.epsilon, beta).snr)
 
 
 def converge_nmax(
@@ -213,7 +197,12 @@ def converge_nmax(
     noise="auto",
     sector="full",
 ):
-    """Smallest n_max in a doubling sequence with stable (lnZ, <Jz>, snr)."""
+    """Smallest stable n_max in a doubling sequence, and the snr there.
+
+    Returns (n_max, snr): the first cutoff whose (lnZ, <Jz>, snr) agree with
+    those at 2*n_max (lnZ to lnz_tol, the others to rel_tol), and the snr
+    the loop already computed at that cutoff.
+    """
     prev = None
     n = start
     while n <= cap:
@@ -224,7 +213,7 @@ def converge_nmax(
             dm = abs(cur[1] - prev[1]) / max(abs(cur[1]), 1e-30)
             ds = abs(cur[2] - prev[2]) / max(abs(cur[2]), 1e-300)
             if dz < lnz_tol and dm < rel_tol and ds < rel_tol:
-                return n // 2 if n > start else start
+                return n // 2, prev[2]
         prev = cur
         n *= 2
     raise ConvergenceError(

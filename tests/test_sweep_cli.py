@@ -7,6 +7,7 @@ import pytest
 from rcprobe.cli import EXIT_CONFIG, EXIT_DOMAIN, figure_config_text, main
 from rcprobe.dicke import DickeParams, critical_temperature
 from rcprobe.errors import ConfigError, RcprobeError
+from rcprobe.operators import ProbeParams
 from rcprobe.sweep import (
     COLUMNS,
     emit_csv,
@@ -15,6 +16,7 @@ from rcprobe.sweep import (
     parse_csv,
     run_sweep,
 )
+from rcprobe.thermal import converge_nmax, snr_exact
 
 MINIMAL = """
 schema_version = 1
@@ -142,6 +144,7 @@ def test_cli_snr_runs(capsys):
     assert main(["snr", "--g", "0.3", "--beta-omega", "5", "--n-max", "24"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["snr"] > 0 and out["snr_weak"] > 0
+    assert out["delta_snr"] == out["snr"] - out["snr_weak"]
 
 
 def test_cli_sweep_and_fit_files(tmp_path, capsys):
@@ -182,6 +185,19 @@ def test_cli_sweep_json_rabi_exact(tmp_path, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert [r["grid_value"] for r in rows] == [2.0, 5.0]
     assert all(isinstance(r["converged"], bool) for r in rows)
+
+
+def test_auto_rows_keep_the_convergence_loop_verdict():
+    cfg = parse_config_text(
+        "schema_version = 1\nmodel = rabi_exact\nN = 1\nepsilon = 1.5\n"
+        "beta_omega = 1.5\ngrid_axis = g_over_omega\ngrid_values = 0.3, 0.4\n"
+        "n_max = auto\n"
+    )
+    for row in run_sweep(cfg):
+        p = ProbeParams(N=1, epsilon=1.5, omega=1.0, g=row["grid_value"])
+        assert row["converged"] is True
+        assert (row["n_max"], row["snr"]) == converge_nmax(p, 1.5)
+        assert row["snr"] == snr_exact(p, 1.5, n_max=row["n_max"]).snr
 
 
 def test_cli_dicke_json(capsys):

@@ -144,16 +144,16 @@ def test_truncation_cauchy_convergence():
 
 def test_converge_nmax_behaviour():
     p0 = ProbeParams(N=1, epsilon=1.0, omega=1.0, g=0.0)
-    assert converge_nmax(p0, 5.0) == 16
+    assert converge_nmax(p0, 5.0)[0] == 16
     # larger coupling needs a bigger cutoff (monotone)
     ns = [
-        converge_nmax(ProbeParams(N=1, epsilon=1.0, omega=1.0, g=g), 5.0)
+        converge_nmax(ProbeParams(N=1, epsilon=1.0, omega=1.0, g=g), 5.0)[0]
         for g in (0.1, 0.5, 1.0)
     ]
     assert ns[0] <= ns[1] <= ns[2]
     # higher temperature needs a bigger cutoff
     ms = [
-        converge_nmax(ProbeParams(N=1, epsilon=1.0, omega=1.0, g=0.3), b)
+        converge_nmax(ProbeParams(N=1, epsilon=1.0, omega=1.0, g=0.3), b)[0]
         for b in (10.0, 1.0, 0.1)
     ]
     assert ms[0] <= ms[1] <= ms[2]
