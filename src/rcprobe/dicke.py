@@ -140,9 +140,9 @@ def dicke_observables(p: DickeParams, beta) -> ThermalObservables:
         lnz, _ = laplace_partition(p, beta)
     except NumericalDomainError:
         lnz = math.nan
+    var = max(m2 - m1 * m1, 0.0)
     return ThermalObservables(
-        beta=beta, lnZ=lnz, mean_Jz=m1, mean_Jz2=m2,
-        var_Jz=max(m2 - m1 * m1, 0.0), mean_Jz2_kubo=m2,
+        beta=beta, lnZ=lnz, mean_Jz=m1, mean_Jz2=m2, var_Jz=var, var_Jz_kubo=var,
     )
 
 

@@ -22,6 +22,10 @@ Recognized keys:
                    converged: fixed n_max, S(n) agrees with S(max(n/2, 8)) to
                    1e-6; auto, lnZ, <Jz> and S are stable against 2*n_max
 
+A fixed-cutoff rabi_exact sweep diagonalizes each distinct Hamiltonian once
+per cutoff (n_max and its half) and evaluates every row's temperature from
+those spectra; n_max = "auto" rows run the convergence loop per point.
+
 Output rows carry the fixed column set
 grid_value, beta_omega, snr, snr_weak, delta_snr, n_max, converged, phase, eta
 (phase/eta blank outside the dicke model).
@@ -30,6 +34,7 @@ grid_value, beta_omega, snr, snr_weak, delta_snr, n_max, converged, phase, eta
 import csv
 import io
 import json
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -41,7 +46,7 @@ from .dicke import DickeParams, dicke_snr, dicke_solution
 from .errors import ConfigError, RcprobeError
 from .grwa import asymptotic_snr, ground_energy_derivs
 from .operators import ProbeParams
-from .thermal import converge_nmax, snr_exact
+from .thermal import _combine, _sector_data, _snr, converge_nmax
 
 COLUMNS = (
     "grid_value",
@@ -211,7 +216,7 @@ def _point_params(cfg: SweepConfig, x):
     return p, beta
 
 
-def _row(cfg: SweepConfig, x):
+def _row(cfg: SweepConfig, x, spectra):
     p, beta = _point_params(cfg, x)
     phase = eta = ""
     n_used = 0
@@ -234,11 +239,10 @@ def _row(cfg: SweepConfig, x):
             sw = weak_snr(p.N, p.epsilon, beta).snr
         else:  # rabi_exact at a fixed cutoff, checked against half of it
             n_used = cfg.n_max
-            pt = snr_exact(p, beta, n_max=n_used, noise=cfg.noise, sector=cfg.sector)
-            half = snr_exact(p, beta, n_max=max(n_used // 2, 8), noise=cfg.noise,
-                             sector=cfg.sector)
-            converged = bool(abs(pt.snr - half.snr) <= 1e-6 * max(abs(pt.snr), 1e-300))
-            snr, sw = pt.snr, pt.snr_weak
+            snr = _snr(p, _combine(spectra(p, n_used), beta), cfg.noise)
+            half = _snr(p, _combine(spectra(p, max(n_used // 2, 8)), beta), cfg.noise)
+            converged = bool(abs(snr - half) <= 1e-6 * max(abs(snr), 1e-300))
+            sw = weak_snr(p.N, p.epsilon, beta).snr
     except RcprobeError:
         return {
             "grid_value": x, "beta_omega": beta, "snr": float("nan"),
@@ -258,11 +262,24 @@ def _row(cfg: SweepConfig, x):
 def run_sweep(cfg: SweepConfig, jobs=1):
     """Evaluate every grid point; rows sorted by grid value."""
     xs = sorted(cfg.grid)
+    # spectra of one ProbeParams (the cutoff and its half), kept for this call only
+    cache, lock = {}, threading.Lock()
+
+    def spectra(p, n_max):
+        key = (p, n_max, cfg.sector)
+        with lock:  # one solve per key, also under jobs > 1
+            if key not in cache:
+                data = _sector_data(*key)  # an RcprobeError leaves nothing stored
+                if any(k[0] != p for k in cache):
+                    cache.clear()
+                cache[key] = data
+            return cache[key]
+
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda x: _row(cfg, x), xs))
+            rows = list(pool.map(lambda x: _row(cfg, x, spectra), xs))
     else:
-        rows = [_row(cfg, x) for x in xs]
+        rows = [_row(cfg, x, spectra) for x in xs]
     return rows
 
 

@@ -27,7 +27,6 @@ the N >= 2 SNR grows as 1/T with the susceptibility denominator.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .baseline import weak_snr
 from .errors import ConvergenceError, NumericalDomainError
@@ -57,12 +56,12 @@ class ThermalObservables:
     mean_Jz: float
     mean_Jz2: float
     var_Jz: float
-    # generalized (Kubo) second moment; equals mean_Jz2 only when [H, Jz] = 0
-    mean_Jz2_kubo: float = 0.0
+    # generalized (Kubo) variance; equals var_Jz only when [H, Jz] = 0
+    var_Jz_kubo: float = 0.0
 
     @property
-    def var_Jz_kubo(self):
-        return max(self.mean_Jz2_kubo - self.mean_Jz**2, 0.0)
+    def mean_Jz2_kubo(self):
+        return self.var_Jz_kubo + self.mean_Jz**2
 
 
 @dataclass(frozen=True)
@@ -79,7 +78,7 @@ def eigendecompose(H: OperatorMatrix) -> EigenSystem:
     1e-12 is positive.
     """
     A = H.entries
-    if not np.allclose(A, A.T, atol=0.0):
+    if not np.array_equal(A, A.T):
         raise NumericalDomainError("eigendecompose requires an exactly symmetric matrix")
     w, V = np.linalg.eigh(A)
     # row of the first entry above 1e-12 in each column
@@ -107,7 +106,10 @@ def _sector_eigensystems(p: ProbeParams, n_max, sector="full"):
 
 
 def _sector_data(p: ProbeParams, n_max, sector="full"):
-    """Eigen-data per total-spin sector: (mult, E, diag Jz, diag Jz^2, M)."""
+    """Beta-independent spectrum per sector: (mult, E, diag M, row sums of M2, M2).
+
+    M = V^T Jz V, and M2 holds its off-diagonal squares (diagonal zeroed).
+    """
     out = []
     for J, mult, es in _sector_eigensystems(p, n_max, sector):
         # diagonal of Jz x 1: each m repeated over the Fock index
@@ -116,45 +118,37 @@ def _sector_data(p: ProbeParams, n_max, sector="full"):
         # M = V^T Jz V; Jz diagonal, so scale rows
         M = V.T @ (jz[:, None] * V)
         d1 = np.diag(M).copy()
-        d2 = (V * V).T @ jz**2
-        out.append((mult, es.eigenvalues, d1, d2, M))
+        np.fill_diagonal(M, 0.0)
+        M *= M
+        out.append((mult, es.eigenvalues, d1, M.sum(axis=1), M))
     return out
 
 
 def _combine(data, beta):
+    """Gibbs state at one beta from the sector spectra; variances centred on <Jz>."""
+    if beta <= 0:
+        raise NumericalDomainError(f"beta must be positive, got {beta}")
     e0 = min(E[0] for _, E, _, _, _ in data)
-    logw = []
-    num1 = num2 = numk = zt = 0.0
-    for mult, E, d1, d2, M in data:
-        w = mult * np.exp(-beta * (E - e0))
-        zt += w.sum()
-        num1 += w @ d1
-        num2 += w @ d2
-        logw.append(np.log(mult) - beta * E)
-        # Kubo second moment: sum_ij |M_ij|^2 * weight(E_i, E_j)
-        Ei = E[:, None]
-        Ej = E[None, :]
-        lo = np.minimum(Ei, Ej)
-        kw = np.exp(-beta * (lo - e0)) * _phi(beta * np.abs(Ej - Ei))
-        numk += mult * np.sum(M * M * kw)
-    lnz = logsumexp(np.concatenate(logw))
-    return lnz, num1 / zt, num2 / zt, numk / zt
+    ws = [mult * np.exp(-beta * (E - e0)) for mult, E, _, _, _ in data]
+    zt = sum(w.sum() for w in ws)
+    m1 = sum(w @ d1 for w, (_, _, d1, _, _) in zip(ws, data)) / zt
+    varp = vark = 0.0
+    for w, (mult, E, d1, r, M2) in zip(ws, data):
+        diag = w @ (d1 - m1) ** 2
+        varp += diag + w @ r
+        # Kubo weight of each pair (E_i, E_j); the diagonal terms are in `diag`
+        lo = np.minimum.outer(E, E)
+        kw = np.exp(-beta * (lo - e0)) * _phi(beta * np.abs(np.subtract.outer(E, E)))
+        vark += diag + mult * np.sum(M2 * kw)
+    return ThermalObservables(
+        beta=beta, lnZ=np.log(zt) - beta * e0, mean_Jz=m1, mean_Jz2=varp / zt + m1 * m1,
+        var_Jz=varp / zt, var_Jz_kubo=vark / zt,
+    )
 
 
 def thermal_observables(p: ProbeParams, beta, n_max, sector="full"):
     """Partition function and Jz moments of the composite Gibbs state."""
-    if beta <= 0:
-        raise NumericalDomainError(f"beta must be positive, got {beta}")
-    data = _sector_data(p, n_max, sector)
-    lnz, m1, m2, mk = _combine(data, beta)
-    return ThermalObservables(
-        beta=beta,
-        lnZ=lnz,
-        mean_Jz=m1,
-        mean_Jz2=m2,
-        var_Jz=max(m2 - m1 * m1, 0.0),
-        mean_Jz2_kubo=mk,
-    )
+    return _combine(_sector_data(p, n_max, sector), beta)
 
 
 def djz_deps(p: ProbeParams, beta, n_max, sector="full"):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from rcprobe import thermal
 from rcprobe.cli import EXIT_CONFIG, EXIT_DOMAIN, figure_config_text, main
 from rcprobe.dicke import DickeParams, critical_temperature
 from rcprobe.errors import ConfigError, RcprobeError
@@ -198,6 +199,69 @@ def test_auto_rows_keep_the_convergence_loop_verdict():
         assert row["converged"] is True
         assert (row["n_max"], row["snr"]) == converge_nmax(p, 1.5)
         assert row["snr"] == snr_exact(p, 1.5, n_max=row["n_max"]).snr
+
+
+def _fixed_cutoff_config(axis, values, N=2, n_max=16):
+    return parse_config_text(
+        f"schema_version = 1\nmodel = rabi_exact\nN = {N}\nepsilon = 1.1\n"
+        f"g = 0.35\nbeta_omega = 6\ngrid_axis = {axis}\n"
+        f"grid_values = {', '.join(map(str, values))}\nn_max = {n_max}\n"
+    )
+
+
+def _reference_row(cfg, x):
+    # the same row from per-point snr_exact at the cutoff and at its half
+    axis = cfg.grid_axis
+    beta = x if axis == "beta_omega" else cfg.beta_omega
+    N = int(x) if axis == "N" else cfg.N
+    eps = x if axis == "epsilon_over_omega" else cfg.epsilon
+    p = ProbeParams(N=N, epsilon=eps, omega=1.0, g=x if axis == "g_over_omega" else cfg.g)
+    pt = snr_exact(p, beta, n_max=cfg.n_max)
+    half = snr_exact(p, beta, n_max=max(cfg.n_max // 2, 8)).snr
+    return {
+        "grid_value": x, "beta_omega": beta, "snr": pt.snr, "snr_weak": pt.snr_weak,
+        "delta_snr": pt.snr - pt.snr_weak, "n_max": cfg.n_max,
+        "converged": abs(pt.snr - half) <= 1e-6 * abs(pt.snr), "phase": "", "eta": "",
+    }
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_beta_sweep_solves_each_sector_once_per_cutoff(monkeypatch, jobs):
+    calls = []
+    solve = thermal.eigendecompose
+
+    def counted(H):
+        calls.append(H.dim)
+        return solve(H)
+
+    cfg = _fixed_cutoff_config("beta_omega", [0.5, 2, 5, 9, 14, 30])
+    monkeypatch.setattr(thermal, "eigendecompose", counted)
+    rows = run_sweep(cfg, jobs=jobs)
+    # N = 2 has two sectors (J = 1, 0), each solved at n_max = 16 and at 8
+    assert len(calls) == 2 * 2
+    monkeypatch.undo()
+    assert rows == [_reference_row(cfg, x) for x in cfg.grid]
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("g_over_omega", [0.1, 0.35, 0.6]),
+    ("epsilon_over_omega", [0.4, 1.1, 1.8]),
+    ("N", [1, 2, 3]),
+])
+def test_cached_rows_match_per_point_solves(axis, values):
+    # every field of the Hamiltonian must reach the key of the sweep's store
+    cfg = _fixed_cutoff_config(axis, values)
+    assert run_sweep(cfg, jobs=2) == [_reference_row(cfg, x) for x in values]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_rows_over_the_dimension_cap_fail_one_by_one(jobs):
+    cfg = _fixed_cutoff_config("beta_omega", [2, 5, 9], N=10, n_max=3000)
+    rows = run_sweep(cfg, jobs=jobs)
+    assert [r["grid_value"] for r in rows] == [2.0, 5.0, 9.0]
+    for r in rows:
+        assert r["converged"] is False
+        assert all(math.isnan(r[k]) for k in ("snr", "snr_weak", "delta_snr"))
 
 
 def test_cli_dicke_json(capsys):

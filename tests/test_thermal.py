@@ -39,6 +39,19 @@ def test_eigendecompose_properties():
         assert col[nz[0]] > 0
 
 
+def test_eigendecompose_requires_exact_symmetry():
+    # mapped Hamiltonians are symmetric bit for bit, so the check can be exact
+    for N in (1, 2, 3):
+        p = ProbeParams(N=N, epsilon=1.0, omega=1.0, g=0.3)
+        A = build_mapped_hamiltonian(p, N / 2, 12).entries
+        assert np.array_equal(A, A.T)
+    i, j = np.argwhere(np.triu(A, 1))[0]
+    B = A.copy()
+    B[i, j] *= 1.0 + 1e-6
+    with pytest.raises(NumericalDomainError):
+        eigendecompose(OperatorMatrix(B, "test"))
+
+
 def test_eigendecompose_polaron_oracle():
     p = ProbeParams(N=1, epsilon=0.0, omega=1.0, g=0.5)
     H = build_mapped_hamiltonian(p, 0.5, 60)
@@ -131,7 +144,7 @@ def test_snr_matches_40_digit_reference(N, n_max, ref):
     # eps = omega = 1, g = 1e-4, beta*omega = 40; ref from the same truncated
     # Hamiltonian diagonalized in 40-digit arithmetic (mpmath.eigsy)
     p = ProbeParams(N=N, epsilon=1.0, omega=1.0, g=1e-4)
-    assert snr_exact(p, 40.0, n_max=n_max).snr == pytest.approx(ref, rel=1e-4)
+    assert snr_exact(p, 40.0, n_max=n_max).snr == pytest.approx(ref, rel=1e-10, abs=0)
 
 
 def test_truncation_cauchy_convergence():
