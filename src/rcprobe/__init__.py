@@ -14,6 +14,7 @@ from .errors import (
     ConsistencyError,
     ConvergenceError,
     NumericalDomainError,
+    ParameterError,
     QuadratureError,
     RcprobeError,
 )
@@ -36,7 +37,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BracketError", "ConfigError", "ConsistencyError", "ConvergenceError",
     "DickeParams", "DickeSolution", "GroundEnergyDerivs", "LorentzianOriginal",
-    "NumericalDomainError", "OhmicResidual", "OperatorMatrix", "ProbeParams",
+    "NumericalDomainError", "OhmicResidual", "OperatorMatrix", "ParameterError",
+    "ProbeParams",
     "QuadratureError", "RcprobeError", "ScalingFit", "SnrPoint", "SweepConfig",
     "ThermalObservables", "WeakResult", "asymptotic_snr", "build_grwa_blocks",
     "build_mapped_hamiltonian", "cauchy_transform", "convert_units",

@@ -13,6 +13,8 @@ overflows nor underflows prematurely.
 import math
 from dataclasses import dataclass
 
+from .errors import ParameterError
+
 
 @dataclass(frozen=True)
 class WeakResult:
@@ -31,7 +33,7 @@ def _log_cosh(y):
 def weak_snr(N, epsilon, beta):
     """Closed-form Gibbs-state observables and SNR for the bare probe."""
     if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+        raise ParameterError(f"beta must be positive, got {beta}")
     half = 0.5 * beta * epsilon
     t = math.tanh(half)
     mean = -0.5 * N * t
@@ -54,6 +56,6 @@ def weak_lowT_asymptote(epsilon, T, N):
     Valid only for beta*eps >> 1; the ratio to weak_snr tends to 1 as T -> 0.
     """
     if T <= 0 or epsilon <= 0:
-        raise ValueError("requires T > 0 and epsilon > 0")
+        raise ParameterError("requires T > 0 and epsilon > 0")
     beta = 1.0 / T
     return N * beta**2 * math.exp(-beta * epsilon)

@@ -8,8 +8,11 @@ Subcommands
   fit           scaling exponent theta of S ~ T^theta from a sweep CSV
   reproduce     run a shipped figure config by id (e.g. fig2a)
 
-Exit codes: 0 success, 2 config error, 3 convergence failure,
-4 numerical domain error.
+Exit codes: 0 success, 2 config error (including a parameter out of its
+range and a malformed fit input), 3 convergence failure, 4 numerical
+domain error (including a composite dimension over the cap, a fit window
+with too few points and a failed eigensolve).  Any other exception is a
+program fault and propagates with its traceback.
 """
 
 import argparse
@@ -21,14 +24,7 @@ import numpy as np
 
 from . import sweep as sweepmod
 from .dicke import DickeParams, dicke_solution, hp_excitations
-from .errors import (
-    BracketError,
-    ConfigError,
-    ConvergenceError,
-    NumericalDomainError,
-    QuadratureError,
-    RcprobeError,
-)
+from .errors import ConfigError, ConvergenceError, ParameterError, RcprobeError
 from .operators import ProbeParams
 from .rcmap import OhmicResidual, verify_equivalence
 from .thermal import snr_exact
@@ -155,7 +151,10 @@ def _cmd_map_spectral(args):
 
 def _cmd_fit(args):
     with open(args.input, encoding="utf-8") as fh:
-        rows = sweepmod.parse_csv(fh.read())
+        try:
+            rows = sweepmod.parse_csv(fh.read())
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{args.input} is not a sweep CSV: {exc!r}") from exc
     fit = sweepmod.fit_scaling(rows, tuple(args.window))
     print(json.dumps({
         "theta": fit.theta, "stderr": fit.stderr,
@@ -196,18 +195,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, ParameterError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (NumericalDomainError, BracketError, QuadratureError) as exc:
+    except (RcprobeError, np.linalg.LinAlgError) as exc:  # numerical failures
         print(f"numerical domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (RcprobeError, FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG if isinstance(exc, FileNotFoundError) else 1
 
 
 if __name__ == "__main__":

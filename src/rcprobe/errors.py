@@ -2,7 +2,15 @@
 
 
 class RcprobeError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors except ParameterError."""
+
+
+class ParameterError(ValueError):
+    """A physical parameter is out of its range, e.g. N < 1 or g < 0.
+
+    A ValueError, so callers that catch ValueError keep working; the CLI
+    reports it as a config error.
+    """
 
 
 class ConfigError(RcprobeError):

@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .errors import NumericalDomainError, RcprobeError
+from .errors import NumericalDomainError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,13 @@ class ProbeParams:
 
     def __post_init__(self):
         if self.N < 1 or int(self.N) != self.N:
-            raise ValueError(f"N must be a positive integer, got {self.N}")
+            raise ParameterError(f"N must be a positive integer, got {self.N}")
         if self.omega <= 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
+            raise ParameterError(f"omega must be positive, got {self.omega}")
         if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+            raise ParameterError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.g < 0:
-            raise ValueError(f"g must be >= 0, got {self.g}")
+            raise ParameterError(f"g must be >= 0, got {self.g}")
 
     def replace_epsilon(self, epsilon):
         return ProbeParams(self.N, epsilon, self.omega, self.g)
@@ -76,6 +76,12 @@ def _check_half_integer(J):
     return int(round(twoJ))
 
 
+def _spin_ladder(J):
+    """m = -J ... J ascending, and the ladder amplitudes <m+1| J+ |m>."""
+    m = -J + np.arange(_check_half_integer(J) + 1)
+    return m, np.sqrt(J * (J + 1) - m[:-1] * (m[:-1] + 1))
+
+
 def spin_operators(J):
     """Return (Jx, B, Jz) in the |J, m> basis, m = -J ... J.
 
@@ -83,11 +89,7 @@ def spin_operators(J):
     B is the real antisymmetric matrix representing Jy through Jy = -iB,
     so that Jx @ B - B @ Jx = -Jz.
     """
-    twoJ = _check_half_integer(J)
-    d = twoJ + 1
-    m = -J + np.arange(d)
-    # ladder amplitude <m+1| J+ |m>
-    c = np.sqrt(J * (J + 1) - m[:-1] * (m[:-1] + 1))
+    m, c = _spin_ladder(J)
     Jz = np.diag(m)
     Jx = 0.5 * (np.diag(c, -1) + np.diag(c, 1))
     B = 0.5 * (np.diag(c, -1) - np.diag(c, 1))
@@ -137,30 +139,28 @@ def composite_basis(J, n_max):
 
 
 def build_mapped_hamiltonian(p: ProbeParams, J, n_max, dim_cap=20000):
-    """H = eps*Jz x 1 + omega*1 x n + g*Jx x (a^dag + a), real symmetric."""
+    """H = eps*Jz x 1 + omega*1 x n + g*Jx x (a^dag + a), real symmetric.
+
+    Filled band by band: the diagonal eps*m + omega*n, and the coupling
+    g*(c_m/2)*sqrt(n+1) between |m, n> and |m+1, n+-1> (c_m the ladder
+    amplitude), plus its transpose.  Every coupling moves m and n by one
+    each, so the parity (-1)^{(m+J)+n} is conserved.
+    """
     twoJ = _check_half_integer(J)
     if J > p.N / 2 + 1e-12:
         raise NumericalDomainError(f"J={J} exceeds N/2={p.N / 2}")
-    dim = (twoJ + 1) * (int(n_max) + 1)
-    if dim > dim_cap:
-        raise RcprobeError(
-            f"composite dimension {dim} exceeds cap {dim_cap}; "
-            "raise dim_cap explicitly if this is intentional"
-        )
-    Jx, _, Jz = spin_operators(J)
-    x, num = boson_operators(n_max)
+    if n_max < 1 or int(n_max) != n_max:
+        raise NumericalDomainError(f"n_max must be a positive integer, got {n_max}")
     ds, nb = twoJ + 1, int(n_max) + 1
-    H = (
-        p.epsilon * np.kron(Jz.entries, np.eye(nb))
-        + p.omega * np.kron(np.eye(ds), num.entries)
-        + p.g * np.kron(Jx.entries, x.entries)
-    )
+    dim = ds * nb
+    if dim > dim_cap:
+        raise NumericalDomainError(f"composite dimension {dim} exceeds cap {dim_cap}")
+    m, c = _spin_ladder(J)
+    H = np.zeros((dim, dim))
+    H.flat[:: dim + 1] = np.add.outer(p.epsilon * m, p.omega * np.arange(nb)).ravel()
+    # |m, n> sits at row (m + J)*nb + n; `lo` is that row for m < J and n < n_max
+    lo = (np.arange(twoJ)[:, None] * nb + np.arange(nb - 1)).ravel()
+    band = p.g * np.outer(0.5 * c, np.sqrt(np.arange(1, nb))).ravel()
+    for r, k in ((lo + nb + 1, lo), (lo + nb, lo + 1)):  # <m+1, n+1|, <m+1, n|
+        H[r, k] = H[k, r] = band
     return OperatorMatrix(H, composite_basis(J, n_max))
-
-
-def composite_jz(J, n_max):
-    """Jz x 1 in the composite basis (diagonal)."""
-    twoJ = _check_half_integer(J)
-    _, _, Jz = spin_operators(J)
-    nb = int(n_max) + 1
-    return OperatorMatrix(np.kron(Jz.entries, np.eye(nb)), composite_basis(J, n_max))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from .errors import QuadratureError
+from .errors import ParameterError, QuadratureError
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class OhmicResidual:
 
     def __post_init__(self):
         if self.gamma <= 0 or self.omega_c <= 0:
-            raise ValueError("gamma and omega_c must be positive")
+            raise ParameterError("gamma and omega_c must be positive")
 
     def __call__(self, w):
         return self.gamma * w * np.exp(-w / self.omega_c)
@@ -57,7 +57,7 @@ class LorentzianOriginal:
 
     def __post_init__(self):
         if min(self.varsigma, self.Gamma_width, self.omega0) <= 0:
-            raise ValueError("all Lorentzian parameters must be positive")
+            raise ParameterError("all Lorentzian parameters must be positive")
 
     def __call__(self, w):
         return (
@@ -71,7 +71,7 @@ class LorentzianOriginal:
 def map_residual_to_original(res: OhmicResidual, omega0, g):
     """Lorentzian original-bath density implied by an Ohmic residual bath."""
     if omega0 <= 0 or g <= 0:
-        raise ValueError("omega0 and g must be positive")
+        raise ParameterError("omega0 and g must be positive")
     return LorentzianOriginal(
         varsigma=4.0 * omega0 * g**2,
         Gamma_width=res.gamma * omega0,

@@ -43,7 +43,7 @@ import numpy as np
 
 from .baseline import weak_snr
 from .dicke import DickeParams, dicke_snr, dicke_solution
-from .errors import ConfigError, RcprobeError
+from .errors import ConfigError, NumericalDomainError, RcprobeError
 from .grwa import asymptotic_snr, ground_energy_derivs
 from .operators import ProbeParams
 from .thermal import _combine, _sector_data, _snr, converge_nmax
@@ -303,7 +303,7 @@ def fit_scaling(rows, window) -> ScalingFit:
         and np.isfinite(r["snr"]) and r["snr"] > 0
     ]
     if len(pts) < 5:
-        raise RcprobeError(
+        raise NumericalDomainError(
             f"need >= 5 converged points in window {window}, found {len(pts)}"
         )
     x = -np.log([r["beta_omega"] for r in pts])  # = ln T + const

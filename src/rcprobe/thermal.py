@@ -1,11 +1,12 @@
 """Exact-diagonalization thermodynamics of the probe + extracted-mode system.
 
 The 2^N product space is decomposed into total-spin sectors J with known
-multiplicities; each sector Hamiltonian (2J+1)(n_max+1)-dimensional is
-diagonalized densely and partition sums are combined across sectors with
-multiplicity weights.  All Boltzmann factors are taken relative to the
-global ground energy so that beta*omega ~ 10^3 neither under- nor
-overflows.
+multiplicities.  The parity (-1)^{(m+J)+n} commutes with H and with Jz, so
+each sector Hamiltonian, (2J+1)(n_max+1)-dimensional, splits into two
+parity blocks of half its size; each block is diagonalized densely, and
+partition sums are combined across blocks with the sector multiplicities.
+All Boltzmann factors are taken relative to the global ground energy so
+that beta*omega ~ 10^3 neither under- nor overflows.
 
 Two noise channels are provided for the SNR denominator:
 
@@ -24,29 +25,15 @@ the single-spin SNR saturates (T^0) with the projective denominator while
 the N >= 2 SNR grows as 1/T with the susceptibility denominator.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .baseline import weak_snr
 from .errors import ConvergenceError, NumericalDomainError
-from .operators import (
-    OperatorMatrix,
-    ProbeParams,
-    build_mapped_hamiltonian,
-    sector_multiplicities,
-)
+from .operators import ProbeParams, build_mapped_hamiltonian, sector_multiplicities
 
 NOISE_CHANNELS = ("projective", "susceptibility", "auto")
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Ascending spectrum and orthonormal eigenvectors of a symmetric matrix."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    basis: str
 
 
 @dataclass(frozen=True)
@@ -71,20 +58,16 @@ class SnrPoint:
     snr_weak: float
 
 
-def eigendecompose(H: OperatorMatrix) -> EigenSystem:
-    """Full symmetric eigendecomposition with a deterministic sign convention.
+def eigendecompose(A):
+    """(w, V): ascending eigenvalues and orthonormal eigenvectors of a real
+    symmetric matrix, as np.linalg.eigh returns them.
 
-    Each eigenvector is flipped so its first component of magnitude above
-    1e-12 is positive.
+    The eigenvector signs are left as LAPACK returns them: every observable
+    reads M^2, diag M or V w V^T, none of which a column sign flip changes.
     """
-    A = H.entries
     if not np.array_equal(A, A.T):
         raise NumericalDomainError("eigendecompose requires an exactly symmetric matrix")
-    w, V = np.linalg.eigh(A)
-    # row of the first entry above 1e-12 in each column
-    first = np.argmax(np.abs(V) > 1e-12, axis=0)
-    V *= np.where(V[first, np.arange(V.shape[1])] < 0, -1.0, 1.0)
-    return EigenSystem(eigenvalues=w, eigenvectors=V, basis=H.basis)
+    return np.linalg.eigh(A)
 
 
 def _phi(x):
@@ -95,37 +78,43 @@ def _phi(x):
     return np.where(small, 1.0 - 0.5 * x, -np.expm1(-xs) / xs)
 
 
-def _sector_eigensystems(p: ProbeParams, n_max, sector="full"):
-    """(J, mult, EigenSystem) per total-spin sector ("maximal": J = N/2 only)."""
+def _parity_blocks(p: ProbeParams, n_max, sector="full"):
+    """(J, mult, rows, E, V) per parity block of each total-spin sector.
+
+    No element of H or Jz couples rows of unequal (m+J)+n parity, so each
+    sector is solved as two blocks: `rows` are a block's rows in the sector
+    basis (even, then odd), E and V its spectrum.  sector="maximal" keeps
+    J = N/2 only.
+    """
     dec = sector_multiplicities(p.N)
-    sectors = dec.sectors if sector == "full" else dec.sectors[:1]
-    return [
-        (J, mult, eigendecompose(build_mapped_hamiltonian(p, J, n_max)))
-        for J, mult in sectors
-    ]
+    nb = n_max + 1
+    for J, mult in dec.sectors if sector == "full" else dec.sectors[:1]:
+        H = build_mapped_hamiltonian(p, J, n_max).entries
+        i = np.arange(H.shape[0])
+        parity = (i // nb + i % nb) % 2
+        for k in (0, 1):
+            rows = np.flatnonzero(parity == k)
+            yield (J, mult, rows, *eigendecompose(H[np.ix_(rows, rows)]))
 
 
 def _sector_data(p: ProbeParams, n_max, sector="full"):
-    """Beta-independent spectrum per sector: (mult, E, diag M, row sums of M2, M2).
+    """Beta-independent record per parity block: (mult, E, diag M, M2 row sums, M2).
 
     M = V^T Jz V, and M2 holds its off-diagonal squares (diagonal zeroed).
     """
     out = []
-    for J, mult, es in _sector_eigensystems(p, n_max, sector):
-        # diagonal of Jz x 1: each m repeated over the Fock index
-        jz = np.repeat(-J + np.arange(int(round(2 * J)) + 1), n_max + 1)
-        V = es.eigenvectors
-        # M = V^T Jz V; Jz diagonal, so scale rows
-        M = V.T @ (jz[:, None] * V)
+    for J, mult, rows, E, V in _parity_blocks(p, n_max, sector):
+        # M = V^T Jz V; Jz is diagonal with entry m = (m + J) - J, so scale rows
+        M = V.T @ ((rows // (n_max + 1) - J)[:, None] * V)
         d1 = np.diag(M).copy()
         np.fill_diagonal(M, 0.0)
         M *= M
-        out.append((mult, es.eigenvalues, d1, M.sum(axis=1), M))
+        out.append((mult, E, d1, M.sum(axis=1), M))
     return out
 
 
 def _combine(data, beta):
-    """Gibbs state at one beta from the sector spectra; variances centred on <Jz>."""
+    """Gibbs state at one beta from the block records; variances centred on <Jz>."""
     if beta <= 0:
         raise NumericalDomainError(f"beta must be positive, got {beta}")
     e0 = min(E[0] for _, E, _, _, _ in data)
@@ -223,24 +212,23 @@ def reduced_probe_state(p: ProbeParams, beta, n_max, sector="full"):
     multiplicity; labels lists (J, copy_index) per block.  Trace 1,
     symmetric, positive semidefinite.
     """
-    raw = _sector_eigensystems(p, n_max, sector)
-    e0 = min(es.eigenvalues[0] for _, _, es in raw)
-    blocks = []
-    total = 0.0
-    for J, mult, es in raw:
-        ds = int(round(2 * J + 1))
-        nb = n_max + 1
-        w = np.exp(-beta * (es.eigenvalues - e0))
-        # partial trace over the Fock index (fast axis)
-        V = es.eigenvectors.reshape(ds, nb, -1)
-        rho = np.einsum("ank,bnk,k->ab", V, V, w)
-        blocks.append((J, mult, rho))
-        total += mult * np.trace(rho)
-    dim = sum(int(round(2 * J + 1)) * m for J, m, _ in blocks)
+    raw = list(_parity_blocks(p, n_max, sector))
+    e0 = min(E[0] for _, _, _, E, _ in raw)
+    blocks = {}  # J -> (mult, rho), in sector order
+    for J, mult, rows, E, V in raw:
+        # the block's eigenvectors at their rows, then the partial trace over
+        # the Fock index (fast axis)
+        U = np.zeros((int(round(2 * J + 1)) * (n_max + 1), V.shape[1]))
+        U[rows] = V
+        U = U.reshape(-1, n_max + 1, V.shape[1])
+        rho = np.einsum("ank,bnk,k->ab", U, U, np.exp(-beta * (E - e0)))
+        blocks[J] = (mult, blocks[J][1] + rho if J in blocks else rho)
+    total = sum(mult * np.trace(rho) for mult, rho in blocks.values())
+    dim = sum(mult * rho.shape[0] for mult, rho in blocks.values())
     out = np.zeros((dim, dim))
     labels = []
     pos = 0
-    for J, mult, rho in blocks:
+    for J, (mult, rho) in blocks.items():
         ds = rho.shape[0]
         for c in range(mult):
             out[pos : pos + ds, pos : pos + ds] = rho / total

@@ -10,6 +10,8 @@ Physical constants are the 2019 SI exact values.
 import math
 from dataclasses import dataclass
 
+from .errors import ParameterError
+
 K_B = 1.380649e-23  # J / K (exact)
 H_PLANCK = 6.62607015e-34  # J s (exact)
 KB_OVER_H_GHZ_PER_K = K_B / H_PLANCK / 1e9  # = 20.836619... GHz/K
@@ -29,7 +31,7 @@ class ReducedUnits:
 def thermal_frequency_GHz(temp_mK):
     """k_B T / h as an ordinary frequency in GHz."""
     if temp_mK <= 0:
-        raise ValueError(f"temperature must be positive, got {temp_mK} mK")
+        raise ParameterError(f"temperature must be positive, got {temp_mK} mK")
     return KB_OVER_H_GHZ_PER_K * temp_mK * 1e-3
 
 
@@ -40,7 +42,7 @@ def convert_units(eps_GHz, omega_GHz, g_GHz, temp_mK) -> ReducedUnits:
     with nu_T = k_B T / h in GHz.
     """
     if min(eps_GHz, omega_GHz, g_GHz) <= 0:
-        raise ValueError("frequencies must be positive")
+        raise ParameterError("frequencies must be positive")
     nu_t = thermal_frequency_GHz(temp_mK)
     return ReducedUnits(
         epsilon=eps_GHz / omega_GHz,

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcprobe.errors import NumericalDomainError, RcprobeError
+from rcprobe.errors import NumericalDomainError
 from rcprobe.operators import (
     ProbeParams,
     boson_operators,
     build_mapped_hamiltonian,
-    composite_jz,
     sector_multiplicities,
     spin_operators,
 )
@@ -126,14 +125,60 @@ def test_polaron_ground_energy():
 
 def test_dimension_cap():
     p = ProbeParams(N=1, epsilon=1.0, omega=1.0, g=0.1)
-    with pytest.raises(RcprobeError):
+    with pytest.raises(NumericalDomainError, match="exceeds cap 100$"):
         build_mapped_hamiltonian(p, 0.5, 60, dim_cap=100)
 
 
-def test_composite_jz_diagonal():
-    M = composite_jz(1.0, 3)
-    assert np.allclose(M.entries, np.diag(np.diag(M.entries)))
-    assert np.allclose(np.unique(np.diag(M.entries)), [-1, 0, 1])
+@pytest.mark.parametrize("n_max", [0, -1, -2, 2.5])
+def test_cutoff_must_be_a_positive_integer(n_max):
+    p = ProbeParams(N=2, epsilon=1.0, omega=1.0, g=0.3)
+    with pytest.raises(NumericalDomainError, match="n_max must be a positive integer"):
+        build_mapped_hamiltonian(p, 1.0, n_max)
+
+
+def _kronecker_hamiltonian(p, J, n_max):
+    # reference: the defining formula eps*Jz x 1 + omega*1 x n + g*Jx x (a^dag + a)
+    Jx, _, Jz = spin_operators(J)
+    x, num = boson_operators(n_max)
+    ds, nb = int(round(2 * J)) + 1, n_max + 1
+    return (
+        p.epsilon * np.kron(Jz.entries, np.eye(nb))
+        + p.omega * np.kron(np.eye(ds), num.entries)
+        + p.g * np.kron(Jx.entries, x.entries)
+    )
+
+
+def test_band_filled_hamiltonian_matches_kronecker_formula():
+    for N in range(1, 11):
+        for g in (0.0, 0.1, 0.37, 1.3):
+            for eps in (0.0, 0.7, 1.0, 2.3):
+                p = ProbeParams(N=N, epsilon=eps, omega=1.0, g=g)
+                for J, _ in sector_multiplicities(N).sectors:
+                    for n_max in (1, 2, 24):
+                        H = build_mapped_hamiltonian(p, J, n_max).entries
+                        ref = _kronecker_hamiltonian(p, J, n_max)
+                        assert H.tobytes() == ref.tobytes(), (N, g, eps, J, n_max)
+
+
+def _parity(J, n_max):
+    # (m + J) + n mod 2 of each row of the composite basis
+    i = np.arange(int(round(2 * J + 1)) * (n_max + 1))
+    return (i // (n_max + 1) + i % (n_max + 1)) % 2
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.floats(min_value=0.0, max_value=3.0),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.integers(min_value=1, max_value=20),
+)
+@settings(max_examples=40, deadline=None)
+def test_hamiltonian_conserves_parity(N, eps, g, n_max):
+    p = ProbeParams(N=N, epsilon=eps, omega=1.0, g=g)
+    for J, _ in sector_multiplicities(N).sectors:
+        H = build_mapped_hamiltonian(p, J, n_max).entries
+        par = _parity(J, n_max)
+        assert np.all(H[np.ix_(par == 0, par == 1)] == 0.0)
 
 
 @given(

@@ -7,7 +7,7 @@ import pytest
 from rcprobe import thermal
 from rcprobe.cli import EXIT_CONFIG, EXIT_DOMAIN, figure_config_text, main
 from rcprobe.dicke import DickeParams, critical_temperature
-from rcprobe.errors import ConfigError, RcprobeError
+from rcprobe.errors import ConfigError, NumericalDomainError
 from rcprobe.operators import ProbeParams
 from rcprobe.sweep import (
     COLUMNS,
@@ -127,7 +127,7 @@ def test_fit_scaling_synthetic():
 
 def test_fit_scaling_needs_points():
     rows = [{"beta_omega": b, "snr": b, "converged": True} for b in (1.0, 2.0)]
-    with pytest.raises(RcprobeError):
+    with pytest.raises(NumericalDomainError):
         fit_scaling(rows, (0.5, 3.0))
 
 
@@ -173,7 +173,48 @@ def test_cli_exit_codes(tmp_path, capsys):
     # degenerate variance at frozen probe -> domain error
     assert main(["snr", "--g", "0.0", "--beta-omega", "2000", "--n-max", "8"]) \
         == EXIT_DOMAIN
+    # a composite dimension over the cap
+    assert main(["snr", "--N", "10", "--n-max", "3000", "--g", "0.2",
+                 "--beta-omega", "5"]) == EXIT_DOMAIN
+    assert "dim_cap" not in capsys.readouterr().err
+    # a Fock cutoff below 1
+    assert main(["snr", "--n-max", "0", "--g", "0.3", "--beta-omega", "5"]) \
+        == EXIT_DOMAIN
+    # parameters out of their range
+    for flag, value in (("--N", "0"), ("--g", "-1"), ("--epsilon", "-1")):
+        argv = ["snr", "--g", "0.3", "--beta-omega", "5", "--n-max", "8", flag, value]
+        assert main(argv) == EXIT_CONFIG
+    # a fit window holding fewer than 5 converged points
+    few = tmp_path / "few.cfg"
+    few.write_text(MINIMAL)
+    rows = tmp_path / "few.csv"
+    assert main(["sweep", "--config", str(few), "--out", str(rows)]) == 0
+    assert main(["fit", "--input", str(rows), "--window", "1", "5"]) == EXIT_DOMAIN
+    # a fit input that is not a sweep CSV
+    junk = tmp_path / "junk.csv"
+    junk.write_text("grid_value,beta_omega\n1.0,abc\n")
+    assert main(["fit", "--input", str(junk), "--window", "1", "5"]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_cli_reports_a_failed_eigensolve_as_numerical(monkeypatch, capsys):
+    # LinAlgError subclasses ValueError; a failed eigensolve is not a config error
+    def fail(A):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    monkeypatch.setattr(thermal, "eigendecompose", fail)
+    assert main(["snr", "--g", "0.3", "--beta-omega", "5", "--n-max", "8"]) \
+        == EXIT_DOMAIN
+    assert capsys.readouterr().err.startswith("numerical domain error:")
+
+
+def test_cli_lets_a_program_fault_raise(monkeypatch):
+    def fault(*args, **kwargs):
+        raise ValueError("not a parameter check")
+
+    monkeypatch.setattr("rcprobe.cli.snr_exact", fault)
+    with pytest.raises(ValueError, match="not a parameter check"):
+        main(["snr", "--g", "0.3", "--beta-omega", "5", "--n-max", "8"])
 
 
 def test_cli_sweep_json_rabi_exact(tmp_path, capsys):
@@ -227,18 +268,26 @@ def _reference_row(cfg, x):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_beta_sweep_solves_each_sector_once_per_cutoff(monkeypatch, jobs):
-    calls = []
-    solve = thermal.eigendecompose
+    builds, solves = [], []
+    build, solve = thermal.build_mapped_hamiltonian, thermal.eigendecompose
 
-    def counted(H):
-        calls.append(H.dim)
-        return solve(H)
+    def counted_build(p, J, n_max):
+        builds.append((J, n_max))
+        return build(p, J, n_max)
+
+    def counted_solve(A):
+        solves.append(A.shape[0])
+        return solve(A)
 
     cfg = _fixed_cutoff_config("beta_omega", [0.5, 2, 5, 9, 14, 30])
-    monkeypatch.setattr(thermal, "eigendecompose", counted)
+    monkeypatch.setattr(thermal, "build_mapped_hamiltonian", counted_build)
+    monkeypatch.setattr(thermal, "eigendecompose", counted_solve)
     rows = run_sweep(cfg, jobs=jobs)
-    # N = 2 has two sectors (J = 1, 0), each solved at n_max = 16 and at 8
-    assert len(calls) == 2 * 2
+    # N = 2 has two sectors (J = 1, 0), each built at n_max = 16 and at 8
+    # and solved as its two parity blocks
+    assert sorted(builds) == [(0.0, 8), (0.0, 16), (1.0, 8), (1.0, 16)]
+    assert len(solves) == 2 * 2 * 2
+    assert sum(solves) == (3 + 1) * 17 + (3 + 1) * 9  # the blocks cover every row
     monkeypatch.undo()
     assert rows == [_reference_row(cfg, x) for x in cfg.grid]
 

@@ -5,8 +5,9 @@ import pytest
 
 from rcprobe.baseline import weak_snr
 from rcprobe.errors import ConvergenceError, NumericalDomainError
-from rcprobe.operators import OperatorMatrix, ProbeParams, build_mapped_hamiltonian
+from rcprobe.operators import ProbeParams, build_mapped_hamiltonian, sector_multiplicities
 from rcprobe.thermal import (
+    _parity_blocks,
     converge_nmax,
     djz_deps,
     eigendecompose,
@@ -17,26 +18,20 @@ from rcprobe.thermal import (
 
 
 def test_eigendecompose_trivial():
-    es = eigendecompose(OperatorMatrix(np.diag([3.0, 1.0, 2.0]), "test"))
-    assert np.allclose(es.eigenvalues, [1, 2, 3])
-    es2 = eigendecompose(OperatorMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), "test"))
-    assert np.allclose(es2.eigenvalues, [-1, 1])
+    w, _ = eigendecompose(np.diag([3.0, 1.0, 2.0]))
+    assert np.allclose(w, [1, 2, 3])
+    w2, _ = eigendecompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.allclose(w2, [-1, 1])
 
 
 def test_eigendecompose_properties():
     rng = np.random.default_rng(7)
     A = rng.normal(size=(30, 30))
     A = A + A.T
-    es = eigendecompose(OperatorMatrix(A, "test"))
-    V = es.eigenvectors
+    w, V = eigendecompose(A)
     assert np.max(np.abs(V.T @ V - np.eye(30))) < 1e-10
     D = V.T @ A @ V
-    assert np.max(np.abs(D - np.diag(es.eigenvalues))) < 1e-8 * np.abs(A).max()
-    # deterministic sign: first significant component positive
-    for k in range(30):
-        col = V[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        assert col[nz[0]] > 0
+    assert np.max(np.abs(D - np.diag(w))) < 1e-8 * np.abs(A).max()
 
 
 def test_eigendecompose_requires_exact_symmetry():
@@ -49,14 +44,39 @@ def test_eigendecompose_requires_exact_symmetry():
     B = A.copy()
     B[i, j] *= 1.0 + 1e-6
     with pytest.raises(NumericalDomainError):
-        eigendecompose(OperatorMatrix(B, "test"))
+        eigendecompose(B)
 
 
 def test_eigendecompose_polaron_oracle():
     p = ProbeParams(N=1, epsilon=0.0, omega=1.0, g=0.5)
-    H = build_mapped_hamiltonian(p, 0.5, 60)
-    es = eigendecompose(H)
-    assert abs(es.eigenvalues[0] + p.g**2 / (4 * p.omega)) < 1e-8
+    w, _ = eigendecompose(build_mapped_hamiltonian(p, 0.5, 60).entries)
+    assert abs(w[0] + p.g**2 / (4 * p.omega)) < 1e-8
+
+
+def test_parity_blocks_split_every_sector():
+    # the two blocks of a sector are its rows with (m + J) + n even and odd
+    for N in range(1, 11):
+        p = ProbeParams(N=N, epsilon=1.0, omega=1.0, g=0.4)
+        for n_max in (1, 2, 5):
+            blocks = list(_parity_blocks(p, n_max))
+            assert len(blocks) == 2 * len(sector_multiplicities(N).sectors)
+            for even, odd in zip(blocks[::2], blocks[1::2]):
+                J, nb = even[0], n_max + 1
+                assert odd[0] == J
+                for parity, (_, _, rows, E, _) in enumerate((even, odd)):
+                    assert np.all((rows // nb + rows % nb) % 2 == parity)
+                    assert len(E) == len(rows)
+                both = np.sort(np.r_[even[2], odd[2]])
+                assert np.array_equal(both, np.arange((2 * J + 1) * nb))
+
+
+def test_parity_blocks_hold_the_sector_spectrum():
+    p = ProbeParams(N=3, epsilon=0.9, omega=1.0, g=0.7)
+    blocks = list(_parity_blocks(p, 20))
+    for J, _ in sector_multiplicities(3).sectors:
+        H = build_mapped_hamiltonian(p, J, 20).entries
+        both = np.sort(np.concatenate([E for J1, _, _, E, _ in blocks if J1 == J]))
+        assert np.allclose(both, np.linalg.eigvalsh(H), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -199,6 +219,16 @@ def test_reduced_state_properties():
     assert np.allclose(rho, rho.T)
     assert np.linalg.eigvalsh(rho).min() > -1e-12
     assert labels == [(1.0, 0), (0.0, 0)]
+
+
+@pytest.mark.parametrize("N, g", [(1, 0.6), (2, 0.8), (3, 0.4), (4, 1.1)])
+def test_reduced_state_conserves_parity(N, g):
+    # within a J block, rho_ab couples m values of equal parity only
+    p = ProbeParams(N=N, epsilon=1.0, omega=1.0, g=g)
+    rho, _ = reduced_probe_state(p, 3.0, n_max=24)
+    a, b = np.indices(rho.shape)
+    assert np.all(rho[(a - b) % 2 == 1] == 0.0)
+    assert np.abs(rho[(a - b) % 2 == 0]).max() > 0
 
 
 def test_reduced_state_non_gibbsian_at_strong_g():
