@@ -11,7 +11,10 @@ mu = eps*omega/(4 gbar^2), the superradiant phase exists for mu < 1 below
     Tc = eps / (2 arctanh(mu)),
 
 where the order parameter eta in [1, 1/mu] solves eta*mu = tanh(beta*eps*eta/2)
-and the saddle sits at z0 = eps*sqrt(eta^2 - 1)/(4 gbar).  The per-spin SNR is
+and the saddle sits at z0 = eps*sqrt(eta^2 - 1)/(4 gbar) (eta = 1, z0 = 0 in
+the normal phase); every observable at one (p, beta > 0) reads that one saddle.
+Laplace's method gives lnZ = N Phi(z0) + (1/2) ln[2 / (beta omega |Phi''(z0)|)],
+with Phi'' in closed form.  The per-spin SNR is
 
     normal        beta^2 / (2 + 2 cosh(beta*eps))       (weak-coupling form)
     superradiant  omega^2 / (16 gbar^4 - eps^2 omega^2)  (temperature-independent)
@@ -19,6 +22,7 @@ and the saddle sits at z0 = eps*sqrt(eta^2 - 1)/(4 gbar).  The per-spin SNR is
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -54,6 +58,8 @@ class DickeSolution:
     eta: float  # 1 in the normal phase
     z0: float
     lnZ: float
+    snr: float  # total S, as dicke_snr returns it
+    snr_weak: float
     snr_per_N: float
 
 
@@ -89,28 +95,39 @@ def phi(p: DickeParams, beta, z):
     return -beta * p.omega * np.asarray(z) ** 2 + y + np.log1p(np.exp(-2.0 * y))
 
 
-def _phi_dd(p: DickeParams, beta, z0):
-    h = 1e-6 * max(1.0, abs(z0))
-    return (phi(p, beta, z0 + h) - 2.0 * phi(p, beta, z0) + phi(p, beta, z0 - h)) / h**2
+def phi_curvature(p: DickeParams, beta, z):
+    """Phi''(z) = -2 beta omega + (beta/2) [(beta/2) sech^2(y) r'^2 + tanh(y) r''],
+    the closed form, with r = sqrt(eps^2 + 16 gbar^2 z^2), y = beta r / 2,
+    r' = 16 gbar^2 z / r and r'' = 16 gbar^2 eps^2 / r^3.
+    """
+    k = 16.0 * p.gbar**2
+    r = math.sqrt(p.epsilon**2 + k * z * z)
+    y = 0.5 * beta * r
+    e = math.exp(-2.0 * y)  # sech^2(y) = 4e / (1 + e)^2, overflow-free
+    r1 = k * z / r
+    r2 = k * p.epsilon**2 / r**3
+    return -2.0 * beta * p.omega + 0.5 * beta * (
+        0.5 * beta * (4.0 * e / (1.0 + e) ** 2) * r1 * r1 + math.tanh(y) * r2
+    )
 
 
-def _phase(p: DickeParams, beta):
+@lru_cache(maxsize=1)
+def _saddle(p: DickeParams, beta):
+    """(phase, Tc or None, eta, z0) at one point, the phase decided and eta solved once;
+    kept for the last point, so dicke_solution and the dicke_snr it calls share it."""
+    if not beta > 0:
+        raise NumericalDomainError(f"beta must be positive, got {beta}")
     tc = critical_temperature(p)
     if tc is None or 1.0 / beta >= tc:
-        return NORMAL
-    return SUPERRADIANT
+        return NORMAL, tc, 1.0, 0.0
+    eta = solve_eta(p, beta)  # >= 1
+    return SUPERRADIANT, tc, eta, p.epsilon * math.sqrt(eta * eta - 1.0) / (4.0 * p.gbar)
 
 
 def laplace_partition(p: DickeParams, beta):
     """(lnZ, z0): saddle-point lnZ including the Gaussian prefactor."""
-    if beta <= 0:
-        raise NumericalDomainError(f"beta must be positive, got {beta}")
-    if _phase(p, beta) == NORMAL:
-        eta, z0 = 1.0, 0.0
-    else:
-        eta = solve_eta(p, beta)
-        z0 = p.epsilon * math.sqrt(max(eta * eta - 1.0, 0.0)) / (4.0 * p.gbar)
-    dd = _phi_dd(p, beta, z0)
+    z0 = _saddle(p, beta)[3]
+    dd = phi_curvature(p, beta, z0)
     if abs(dd) < 1e-14:
         raise NumericalDomainError("flat saddle direction: exactly at the Tc boundary")
     lnz = p.N * float(phi(p, beta, z0)) + 0.5 * math.log(2.0 / (beta * p.omega * abs(dd)))
@@ -124,18 +141,11 @@ def dicke_observables(p: DickeParams, beta) -> ThermalObservables:
     the boundary where the saddle goes flat and the Gaussian prefactor of
     the Laplace approximation diverges.
     """
-    if beta <= 0:
-        raise NumericalDomainError(f"beta must be positive, got {beta}")
+    eta = _saddle(p, beta)[2]
     N = p.N
-    if _phase(p, beta) == NORMAL:
-        t = math.tanh(0.5 * beta * p.epsilon)
-        m1 = -0.5 * N * t
-        m2 = 0.25 * N + 0.25 * N * (N - 1) * t * t
-    else:
-        eta = solve_eta(p, beta)
-        t = math.tanh(0.5 * beta * p.epsilon * eta) / eta
-        m1 = -0.5 * N * t
-        m2 = 0.25 * N + 0.25 * N * (N - 1) * t * t
+    t = math.tanh(0.5 * beta * p.epsilon * eta) / eta  # eta = 1 in the normal phase
+    m1 = -0.5 * N * t
+    m2 = 0.25 * N + 0.25 * N * (N - 1) * t * t
     try:
         lnz, _ = laplace_partition(p, beta)
     except NumericalDomainError:
@@ -148,8 +158,9 @@ def dicke_observables(p: DickeParams, beta) -> ThermalObservables:
 
 def dicke_snr(p: DickeParams, beta) -> SnrPoint:
     """Total SNR S (N times the per-spin closed form of either branch) and S_weak."""
+    phase = _saddle(p, beta)[0]
     sw = weak_snr(p.N, p.epsilon, beta).snr
-    if _phase(p, beta) == NORMAL:
+    if phase == NORMAL:
         s = p.N * weak_snr(1, p.epsilon, beta).snr
     else:
         den = 16.0 * p.gbar**4 - p.epsilon**2 * p.omega**2
@@ -160,18 +171,12 @@ def dicke_snr(p: DickeParams, beta) -> SnrPoint:
 
 
 def dicke_solution(p: DickeParams, beta) -> DickeSolution:
-    """Bundle phase, order parameter, saddle, lnZ and per-spin SNR."""
-    phase = _phase(p, beta)
-    tc = critical_temperature(p)
-    eta = 1.0 if phase == NORMAL else solve_eta(p, beta)
-    lnz, z0 = laplace_partition(p, beta)
+    """Phase, order parameter, saddle, lnZ and SNR of one point, from one saddle."""
+    phase, tc, eta, z0 = _saddle(p, beta)
     s = dicke_snr(p, beta)
     return DickeSolution(
-        phase=phase,
-        Tc=math.inf if tc is None else tc,
-        eta=eta,
-        z0=z0,
-        lnZ=lnz,
+        phase=phase, Tc=math.inf if tc is None else tc, eta=eta, z0=z0,
+        lnZ=laplace_partition(p, beta)[0], snr=s.snr, snr_weak=s.snr_weak,
         snr_per_N=s.snr / p.N,
     )
 

@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import NumericalDomainError, ParameterError
 
+# largest composite sector dimension a dense solve is allowed to build
+DIM_CAP = 20000
+
 
 @dataclass(frozen=True)
 class ProbeParams:
@@ -48,10 +51,9 @@ class ProbeParams:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """A dense real operator together with a basis descriptor."""
+    """A dense real operator."""
 
     entries: np.ndarray
-    basis: str
 
     @property
     def dim(self):
@@ -93,12 +95,7 @@ def spin_operators(J):
     Jz = np.diag(m)
     Jx = 0.5 * (np.diag(c, -1) + np.diag(c, 1))
     B = 0.5 * (np.diag(c, -1) - np.diag(c, 1))
-    tag = f"spin J={J} ascending m"
-    return (
-        OperatorMatrix(Jx, tag),
-        OperatorMatrix(B, tag + " (Jy = -i B)"),
-        OperatorMatrix(Jz, tag),
-    )
+    return OperatorMatrix(Jx), OperatorMatrix(B), OperatorMatrix(Jz)
 
 
 def sector_multiplicities(N):
@@ -130,15 +127,10 @@ def boson_operators(n_max):
     off = np.sqrt(np.arange(1, nb))
     x = np.diag(off, 1) + np.diag(off, -1)
     num = np.diag(np.arange(nb, dtype=float))
-    tag = f"fock n_max={n_max}"
-    return OperatorMatrix(x, tag), OperatorMatrix(num, tag)
+    return OperatorMatrix(x), OperatorMatrix(num)
 
 
-def composite_basis(J, n_max):
-    return f"spin J={J} (slow) x fock n_max={n_max} (fast), ascending m and n"
-
-
-def build_mapped_hamiltonian(p: ProbeParams, J, n_max, dim_cap=20000):
+def build_mapped_hamiltonian(p: ProbeParams, J, n_max):
     """H = eps*Jz x 1 + omega*1 x n + g*Jx x (a^dag + a), real symmetric.
 
     Filled band by band: the diagonal eps*m + omega*n, and the coupling
@@ -153,8 +145,8 @@ def build_mapped_hamiltonian(p: ProbeParams, J, n_max, dim_cap=20000):
         raise NumericalDomainError(f"n_max must be a positive integer, got {n_max}")
     ds, nb = twoJ + 1, int(n_max) + 1
     dim = ds * nb
-    if dim > dim_cap:
-        raise NumericalDomainError(f"composite dimension {dim} exceeds cap {dim_cap}")
+    if dim > DIM_CAP:
+        raise NumericalDomainError(f"composite dimension {dim} exceeds cap {DIM_CAP}")
     m, c = _spin_ladder(J)
     H = np.zeros((dim, dim))
     H.flat[:: dim + 1] = np.add.outer(p.epsilon * m, p.omega * np.arange(nb)).ravel()
@@ -163,4 +155,4 @@ def build_mapped_hamiltonian(p: ProbeParams, J, n_max, dim_cap=20000):
     band = p.g * np.outer(0.5 * c, np.sqrt(np.arange(1, nb))).ravel()
     for r, k in ((lo + nb + 1, lo), (lo + nb, lo + 1)):  # <m+1, n+1|, <m+1, n|
         H[r, k] = H[k, r] = band
-    return OperatorMatrix(H, composite_basis(J, n_max))
+    return OperatorMatrix(H)

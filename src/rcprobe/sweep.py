@@ -14,7 +14,8 @@ Recognized keys:
   gbar             intensive Dicke coupling, units of omega (dicke)
   grid_axis        beta_omega | g_over_omega | epsilon_over_omega | gbar_over_omega | N
   grid_values      comma list, or grid_start/grid_stop/grid_points (+ grid_scale)
-  beta_omega       fixed inverse temperature when another axis is swept
+  beta_omega       fixed inverse temperature when another axis is swept;
+                   it and every value of a beta_omega grid must be > 0
   convention       difference | per_spin   (delta_snr convention)
   sector           full | maximal
   noise            auto | projective | susceptibility
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import weak_snr
-from .dicke import DickeParams, dicke_snr, dicke_solution
+from .dicke import DickeParams, dicke_solution
 from .errors import ConfigError, NumericalDomainError, RcprobeError
 from .grwa import asymptotic_snr, ground_energy_derivs
 from .operators import ProbeParams
@@ -138,14 +139,17 @@ def parse_config_text(text) -> SweepConfig:
             raise ConfigError("need grid_values or grid_start/grid_stop/grid_points",
                               field="grid_values")
         scale = kv.get("grid_scale", "linear")
-        if scale == "log":
-            grid = tuple(float(v) for v in np.geomspace(a, b, int(npts)))
-        elif scale == "linear":
-            grid = tuple(float(v) for v in np.linspace(a, b, int(npts)))
-        else:
+        spacing = {"linear": np.linspace, "log": np.geomspace}.get(scale)
+        if spacing is None:
             raise ConfigError(f"must be linear|log, got {scale!r}", field="grid_scale")
+        try:
+            grid = tuple(float(v) for v in spacing(a, b, int(npts)))
+        except ValueError as exc:  # grid_points < 0, or a log scale through 0
+            raise ConfigError(str(exc), field="grid_values") from exc
     if not grid:
         raise ConfigError("grid is empty", field="grid_values")
+    if axis == "beta_omega" and not all(v > 0 for v in grid):
+        raise ConfigError("beta_omega values must be > 0", field="grid_values")
 
     if model == "dicke":
         if "g" in kv and "N" not in kv:
@@ -187,6 +191,8 @@ def parse_config_text(text) -> SweepConfig:
             raise ConfigError(f"must be one of {allowed}, got {val!r}", field=field)
     if cfg.N < 1:
         raise ConfigError("must be >= 1", field="N")
+    if not cfg.beta_omega > 0:
+        raise ConfigError(f"must be > 0, got {cfg.beta_omega}", field="beta_omega")
     return cfg
 
 
@@ -227,8 +233,7 @@ def _row(cfg: SweepConfig, x, spectra):
             snr = sw = wr.snr
         elif cfg.model == "dicke":
             sol = dicke_solution(p, beta)
-            pt = dicke_snr(p, beta)
-            snr, sw = pt.snr, pt.snr_weak
+            snr, sw = sol.snr, sol.snr_weak
             phase, eta = sol.phase, sol.eta
         elif cfg.model == "grwa":
             derivs = ground_energy_derivs(p.N, p.epsilon, 1.0, p.g)

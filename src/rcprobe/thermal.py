@@ -29,11 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import operators
 from .baseline import weak_snr
 from .errors import ConvergenceError, NumericalDomainError
 from .operators import ProbeParams, build_mapped_hamiltonian, sector_multiplicities
 
 NOISE_CHANNELS = ("projective", "susceptibility", "auto")
+
+# converge_nmax: first cutoff, largest cutoff, and the stability tolerances
+NMAX_START, NMAX_CAP = 16, 4096
+REL_TOL, LNZ_TOL = 1e-6, 1e-8
 
 
 @dataclass(frozen=True)
@@ -170,38 +175,29 @@ def snr_exact(p: ProbeParams, beta, n_max=128, noise="auto", sector="full"):
     return SnrPoint(beta=beta, snr=snr, snr_weak=weak_snr(p.N, p.epsilon, beta).snr)
 
 
-def converge_nmax(
-    p: ProbeParams,
-    beta,
-    rel_tol=1e-6,
-    lnz_tol=1e-8,
-    start=16,
-    cap=4096,
-    noise="auto",
-    sector="full",
-):
+def converge_nmax(p: ProbeParams, beta, noise="auto", sector="full"):
     """Smallest stable n_max in a doubling sequence, and the snr there.
 
-    Returns (n_max, snr): the first cutoff whose (lnZ, <Jz>, snr) agree with
-    those at 2*n_max (lnZ to lnz_tol, the others to rel_tol), and the snr
-    the loop already computed at that cutoff.
+    Returns (n_max, snr): the first cutoff from NMAX_START whose (lnZ, <Jz>,
+    snr) agree with those at 2*n_max (lnZ to LNZ_TOL, the others to REL_TOL),
+    and the snr the loop already computed at that cutoff.  The doubling stops
+    at NMAX_CAP, or where the next cutoff's largest sector would exceed
+    operators.DIM_CAP, with a ConvergenceError.
     """
     prev = None
-    n = start
-    while n <= cap:
+    n = NMAX_START
+    while n <= NMAX_CAP and (p.N + 1) * (n + 1) <= operators.DIM_CAP:
         obs = thermal_observables(p, beta, n, sector)
         cur = (obs.lnZ, obs.mean_Jz, _snr(p, obs, noise))
         if prev is not None:
             dz = abs(cur[0] - prev[0]) / max(abs(cur[0]), 1.0)
             dm = abs(cur[1] - prev[1]) / max(abs(cur[1]), 1e-30)
             ds = abs(cur[2] - prev[2]) / max(abs(cur[2]), 1e-300)
-            if dz < lnz_tol and dm < rel_tol and ds < rel_tol:
+            if dz < LNZ_TOL and dm < REL_TOL and ds < REL_TOL:
                 return n // 2, prev[2]
         prev = cur
         n *= 2
-    raise ConvergenceError(
-        f"n_max cap {cap} reached without convergence at beta={beta}, g={p.g}"
-    )
+    raise ConvergenceError(f"n_max not converged by {n // 2} at beta={beta}, g={p.g}")
 
 
 def reduced_probe_state(p: ProbeParams, beta, n_max, sector="full"):

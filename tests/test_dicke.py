@@ -13,6 +13,7 @@ from rcprobe.dicke import (
     hp_excitations,
     laplace_partition,
     phi,
+    phi_curvature,
     solve_eta,
 )
 from rcprobe.errors import NumericalDomainError
@@ -64,6 +65,30 @@ def test_z0_is_global_maximizer():
     _, z0 = laplace_partition(p, beta)
     zs = np.linspace(0, 2 / p.mu * p.epsilon / (4 * p.gbar), 400)
     assert phi(p, beta, z0) >= np.max(phi(p, beta, zs)) - 1e-10
+
+
+@pytest.mark.parametrize("eps, gbar, beta", [
+    (0.5, 0.9, 5.0), (3.0, 0.98, 2.0), (3.0, 0.98, 0.3), (1.0, 0.3, 5.0),
+    (1.0, 2.0, 8.4), (3.0, 0.98, 10.0),
+])
+def test_phi_curvature_matches_a_five_point_difference(eps, gbar, beta):
+    p = DickeParams(epsilon=eps, omega=1.0, gbar=gbar)
+    _, z0 = laplace_partition(p, beta)
+    for z in (z0, z0 + 0.3, 1.7):
+        h = 1e-3 * max(1.0, z)
+        f = [float(phi(p, beta, z + k * h)) for k in (-2, -1, 0, 1, 2)]
+        fd = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
+        assert phi_curvature(p, beta, z) == pytest.approx(fd, rel=1e-7)
+
+
+def test_lnz_finite_just_below_tc():
+    # Phi'' ~ 1e-6 here: a second difference of Phi returns rounding noise
+    p = DickeParams(epsilon=3.0, omega=1.0, gbar=0.98)
+    beta = (1 + 1e-6) / critical_temperature(p)
+    lnz, z0 = laplace_partition(p, beta)
+    assert math.isfinite(lnz)
+    assert z0 > 0
+    assert 0 < -phi_curvature(p, beta, z0) < 1e-4
 
 
 def test_normal_z0_zero():
@@ -174,3 +199,14 @@ def test_solution_bundle():
     assert 1.0 < sol.eta < 1.0 / p.mu
     assert sol.z0 > 0
     assert sol.snr_per_N > 0
+    pt = dicke_snr(p, 5.0)
+    assert (sol.snr, sol.snr_weak, sol.snr_per_N) == (pt.snr, pt.snr_weak, pt.snr / p.N)
+    assert sol.lnZ == laplace_partition(p, 5.0)[0]
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+def test_nonpositive_beta_rejected(beta):
+    p = DickeParams(epsilon=3.0, omega=1.0, gbar=0.98)
+    for f in (laplace_partition, dicke_observables, dicke_snr, dicke_solution):
+        with pytest.raises(NumericalDomainError, match="beta must be positive"):
+            f(p, beta)

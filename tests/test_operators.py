@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcprobe import operators
 from rcprobe.errors import NumericalDomainError
 from rcprobe.operators import (
     ProbeParams,
@@ -123,10 +124,11 @@ def test_polaron_ground_energy():
     assert abs(e0 - (-p.g**2 / (4 * p.omega))) < 1e-10
 
 
-def test_dimension_cap():
+def test_dimension_cap(monkeypatch):
     p = ProbeParams(N=1, epsilon=1.0, omega=1.0, g=0.1)
+    monkeypatch.setattr(operators, "DIM_CAP", 100)
     with pytest.raises(NumericalDomainError, match="exceeds cap 100$"):
-        build_mapped_hamiltonian(p, 0.5, 60, dim_cap=100)
+        build_mapped_hamiltonian(p, 0.5, 60)
 
 
 @pytest.mark.parametrize("n_max", [0, -1, -2, 2.5])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rcprobe import thermal
+from rcprobe import dicke, thermal
 from rcprobe.cli import EXIT_CONFIG, EXIT_DOMAIN, figure_config_text, main
 from rcprobe.dicke import DickeParams, critical_temperature
 from rcprobe.errors import ConfigError, NumericalDomainError
@@ -65,6 +65,16 @@ def test_parse_comments_and_range():
          "grid_values = 1\nsector = left", "sector"),
         ("schema_version = 1\nmodel = dicke\ngrid_axis = beta_omega\n"
          "grid_values = 1", "gbar"),
+        ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\n"
+         "grid_values = 1, 0", "grid_values"),
+        ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\n"
+         "grid_start = -1\ngrid_stop = 1\ngrid_points = 3", "grid_values"),
+        ("schema_version = 1\nmodel = weak\ngrid_axis = g_over_omega\n"
+         "grid_values = 1\nbeta_omega = nan", "beta_omega"),
+        ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\ngrid_start = 0\n"
+         "grid_stop = 5\ngrid_points = 4\ngrid_scale = log", "grid_values"),
+        ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\ngrid_start = 1\n"
+         "grid_stop = 5\ngrid_points = -2", "grid_values"),
     ],
 )
 def test_parse_errors_carry_field(text, field):
@@ -194,6 +204,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     junk = tmp_path / "junk.csv"
     junk.write_text("grid_value,beta_omega\n1.0,abc\n")
     assert main(["fit", "--input", str(junk), "--window", "1", "5"]) == EXIT_CONFIG
+    # non-positive temperatures: a domain error at one point, a config error in a sweep
+    capsys.readouterr()
+    point = ["dicke", "--epsilon", "0.5", "--gbar", "0.9", "--beta-omega"]
+    assert main(point + ["0"]) == EXIT_DOMAIN
+    assert main(point + ["-1"]) == EXIT_DOMAIN
+    assert "beta must be positive" in capsys.readouterr().err
+    cold = tmp_path / "cold.cfg"
+    cold.write_text("schema_version = 1\nmodel = dicke\nepsilon = 0.5\ngbar = 0.9\n"
+                    "grid_axis = beta_omega\ngrid_values = 0, 1\n")
+    assert main(["sweep", "--config", str(cold)]) == EXIT_CONFIG
+    cold.write_text("schema_version = 1\nmodel = rabi_exact\nN = 1\ng = 0.3\n"
+                    "beta_omega = -1\ngrid_axis = g_over_omega\ngrid_values = 0.1\n")
+    assert main(["sweep", "--config", str(cold)]) == EXIT_CONFIG
     capsys.readouterr()
 
 
@@ -290,6 +313,26 @@ def test_beta_sweep_solves_each_sector_once_per_cutoff(monkeypatch, jobs):
     assert sum(solves) == (3 + 1) * 17 + (3 + 1) * 9  # the blocks cover every row
     monkeypatch.undo()
     assert rows == [_reference_row(cfg, x) for x in cfg.grid]
+
+
+def test_dicke_sweep_solves_eta_once_per_superradiant_row(monkeypatch):
+    calls = []
+    solve = dicke.solve_eta
+
+    def counted(p, beta):
+        calls.append(beta)
+        return solve(p, beta)
+
+    cfg = parse_config_text(
+        "schema_version = 1\nmodel = dicke\nepsilon = 0.7\ngbar = 0.83\n"
+        "grid_axis = beta_omega\ngrid_start = 0.2\ngrid_stop = 20\n"
+        "grid_points = 30\ngrid_scale = log\n"
+    )
+    monkeypatch.setattr(dicke, "solve_eta", counted)
+    rows = run_sweep(cfg)
+    superradiant = [r["beta_omega"] for r in rows if r["phase"] == "superradiant"]
+    assert 0 < len(superradiant) < len(rows)
+    assert calls == superradiant
 
 
 @pytest.mark.parametrize("axis, values", [

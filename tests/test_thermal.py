@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rcprobe import operators, thermal
 from rcprobe.baseline import weak_snr
 from rcprobe.errors import ConvergenceError, NumericalDomainError
 from rcprobe.operators import ProbeParams, build_mapped_hamiltonian, sector_multiplicities
@@ -192,10 +193,25 @@ def test_converge_nmax_behaviour():
     assert ms[0] <= ms[1] <= ms[2]
 
 
-def test_converge_nmax_cap():
+def test_converge_nmax_cap(monkeypatch):
     p = ProbeParams(N=1, epsilon=1.0, omega=1.0, g=0.5)
-    with pytest.raises(ConvergenceError):
-        converge_nmax(p, 1.0, cap=32, rel_tol=1e-30)
+    monkeypatch.setattr(thermal, "NMAX_CAP", 32)
+    monkeypatch.setattr(thermal, "REL_TOL", 1e-30)
+    with pytest.raises(ConvergenceError, match="not converged by 32"):
+        converge_nmax(p, 1.0)
+
+
+def test_converge_nmax_stops_at_the_dimension_cap(monkeypatch):
+    # N = 4: the largest sector at n_max = 32 has 5 * 33 = 165 rows, at 64 it
+    # would have 325; the ladder must stop there instead of building past the cap
+    p = ProbeParams(N=4, epsilon=1.0, omega=1.0, g=0.2)
+    monkeypatch.setattr(operators, "DIM_CAP", 165)
+    monkeypatch.setattr(thermal, "REL_TOL", 1e-30)
+    with pytest.raises(ConvergenceError, match="not converged by 32"):
+        converge_nmax(p, 1.0)
+    for sector in ("full", "maximal"):
+        with pytest.raises(NumericalDomainError, match="exceeds cap 165"):
+            thermal_observables(p, 1.0, 64, sector)
 
 
 def test_reduced_state_g0_gibbs():
