@@ -115,8 +115,8 @@ def phi_curvature(p: DickeParams, beta, z):
 def _saddle(p: DickeParams, beta):
     """(phase, Tc or None, eta, z0) at one point, the phase decided and eta solved once;
     kept for the last point, so dicke_solution and the dicke_snr it calls share it."""
-    if not beta > 0:
-        raise NumericalDomainError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise NumericalDomainError(f"beta must be positive and finite, got {beta}")
     tc = critical_temperature(p)
     if tc is None or 1.0 / beta >= tc:
         return NORMAL, tc, 1.0, 0.0
@@ -130,7 +130,9 @@ def laplace_partition(p: DickeParams, beta):
     dd = phi_curvature(p, beta, z0)
     if abs(dd) < 1e-14:
         raise NumericalDomainError("flat saddle direction: exactly at the Tc boundary")
-    lnz = p.N * float(phi(p, beta, z0)) + 0.5 * math.log(2.0 / (beta * p.omega * abs(dd)))
+    # the log taken term by term: beta * omega * |Phi''| overflows from beta ~ 1e155
+    log_pref = math.log(2.0) - math.log(beta) - math.log(p.omega) - math.log(abs(dd))
+    lnz = p.N * float(phi(p, beta, z0)) + 0.5 * log_pref
     return lnz, z0
 
 

@@ -80,6 +80,8 @@ def map_residual_to_original(res: OhmicResidual, omega0, g):
 
 
 def _quad_checked(f, a, b, tol, **kw):
+    if not tol > 0:
+        raise ParameterError(f"quadrature_tol must be > 0, got {tol}")
     with warnings.catch_warnings():
         # the returned error estimate is checked below; roundoff chatter from
         # underflowing tails is not actionable

@@ -15,7 +15,7 @@ Recognized keys:
   grid_axis        beta_omega | g_over_omega | epsilon_over_omega | gbar_over_omega | N
   grid_values      comma list, or grid_start/grid_stop/grid_points (+ grid_scale)
   beta_omega       fixed inverse temperature when another axis is swept;
-                   it and every value of a beta_omega grid must be > 0
+                   it and every beta_omega grid value must be finite, > 0
   convention       difference | per_spin   (delta_snr convention)
   sector           full | maximal
   noise            auto | projective | susceptibility
@@ -148,8 +148,8 @@ def parse_config_text(text) -> SweepConfig:
             raise ConfigError(str(exc), field="grid_values") from exc
     if not grid:
         raise ConfigError("grid is empty", field="grid_values")
-    if axis == "beta_omega" and not all(v > 0 for v in grid):
-        raise ConfigError("beta_omega values must be > 0", field="grid_values")
+    if axis == "beta_omega" and not all(0 < v < np.inf for v in grid):
+        raise ConfigError("beta_omega values must be finite and > 0", field="grid_values")
 
     if model == "dicke":
         if "g" in kv and "N" not in kv:
@@ -191,8 +191,8 @@ def parse_config_text(text) -> SweepConfig:
             raise ConfigError(f"must be one of {allowed}, got {val!r}", field=field)
     if cfg.N < 1:
         raise ConfigError("must be >= 1", field="N")
-    if not cfg.beta_omega > 0:
-        raise ConfigError(f"must be > 0, got {cfg.beta_omega}", field="beta_omega")
+    if not 0 < cfg.beta_omega < np.inf:
+        raise ConfigError(f"must be finite and > 0, got {cfg.beta_omega}", field="beta_omega")
     return cfg
 
 

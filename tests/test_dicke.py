@@ -204,9 +204,22 @@ def test_solution_bundle():
     assert sol.lnZ == laplace_partition(p, 5.0)[0]
 
 
-@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf, -math.inf])
 def test_nonpositive_beta_rejected(beta):
     p = DickeParams(epsilon=3.0, omega=1.0, gbar=0.98)
     for f in (laplace_partition, dicke_observables, dicke_snr, dicke_solution):
         with pytest.raises(NumericalDomainError, match="beta must be positive"):
             f(p, beta)
+
+
+def test_gaussian_prefactor_survives_huge_beta():
+    # beta * omega * |Phi''| overflows at beta = 1e200 although Phi(z0) and
+    # Phi''(z0) are both finite; lnZ takes the log of each factor apart
+    p = DickeParams(epsilon=0.5, omega=1.0, gbar=0.9)
+    lnz, z0 = laplace_partition(p, 1e200)
+    assert math.isfinite(phi_curvature(p, 1e200, z0))
+    assert lnz == pytest.approx(float(phi(p, 1e200, z0)), rel=1e-12)
+    # at moderate beta it is the one-log form
+    lnz, z0 = laplace_partition(p, 5.0)
+    pref = 2.0 / (5.0 * abs(phi_curvature(p, 5.0, z0)))
+    assert lnz == pytest.approx(float(phi(p, 5.0, z0)) + 0.5 * math.log(pref), rel=1e-14)

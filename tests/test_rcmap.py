@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rcprobe.errors import QuadratureError
+from rcprobe.errors import ParameterError, QuadratureError
 from rcprobe.rcmap import (
     LorentzianOriginal,
     OhmicResidual,
@@ -114,3 +114,11 @@ def test_bad_parameters_rejected():
         LorentzianOriginal(varsigma=1.0, Gamma_width=0.0, omega0=1.0)
     with pytest.raises(ValueError):
         map_residual_to_original(OhmicResidual(0.1, 10.0), omega0=1.0, g=0.0)
+    # a quadrature tolerance that is not positive, before scipy sees it
+    res = OhmicResidual(gamma=0.05, omega_c=1e2)
+    for tol in (0.0, -1e-10, math.nan):
+        with pytest.raises(ParameterError, match="quadrature_tol"):
+            verify_equivalence(res, 1.0, 0.5, GRID[:2], quadrature_tol=tol)
+        for transform in (cauchy_transform, cauchy_transform_subtracted):
+            with pytest.raises(ParameterError, match="quadrature_tol"):
+                transform(res, 1.0 + 0.5j, quadrature_tol=tol)

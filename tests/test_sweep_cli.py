@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -75,6 +76,10 @@ def test_parse_comments_and_range():
          "grid_stop = 5\ngrid_points = 4\ngrid_scale = log", "grid_values"),
         ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\ngrid_start = 1\n"
          "grid_stop = 5\ngrid_points = -2", "grid_values"),
+        ("schema_version = 1\nmodel = rabi_exact\ngrid_axis = g_over_omega\n"
+         "grid_values = 0.1\nbeta_omega = inf", "beta_omega"),
+        ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\n"
+         "grid_values = 1, inf", "grid_values"),
     ],
 )
 def test_parse_errors_carry_field(text, field):
@@ -217,7 +222,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     cold.write_text("schema_version = 1\nmodel = rabi_exact\nN = 1\ng = 0.3\n"
                     "beta_omega = -1\ngrid_axis = g_over_omega\ngrid_values = 0.1\n")
     assert main(["sweep", "--config", str(cold)]) == EXIT_CONFIG
+    # infinite or undefined temperatures: a domain error at one point
     capsys.readouterr()
+    for beta in ("inf", "nan"):
+        assert main(["snr", "--N", "2", "--g", "0.3", "--beta-omega", beta]) == EXIT_DOMAIN
+        assert main(point + [beta]) == EXIT_DOMAIN
+    assert "positive and finite" in capsys.readouterr().err
+    # a quadrature tolerance that is not positive
+    assert main(["map-spectral", "--tol", "0"]) == EXIT_CONFIG
+    assert "quadrature_tol" in capsys.readouterr().err
 
 
 def test_cli_reports_a_failed_eigensolve_as_numerical(monkeypatch, capsys):
@@ -362,6 +375,9 @@ def test_cli_dicke_json(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["phase"] == "superradiant"
     assert out["eta"] > 1
+    # Phi and Phi'' are finite at beta*omega = 1e200, and so is lnZ
+    assert main(["dicke", "--epsilon", "0.5", "--gbar", "0.9", "--beta-omega", "1e200"]) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["lnZ_per_N"])
 
 
 def test_figure_configs_all_parse():
@@ -397,3 +413,18 @@ def test_fig3b_transition_matches_tc():
     # sanity: the closed form really is the boundary of Tc
     p = DickeParams(epsilon=cfg.epsilon, omega=1.0, gbar=g_c * (1 + 1e-6))
     assert critical_temperature(p) == pytest.approx(1.0 / beta, rel=1e-4)
+
+
+FIG_REFERENCE = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+
+
+@pytest.mark.parametrize("fig", ["fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig2f", "figS0"])
+def test_exact_figures_match_the_recorded_reference(fig):
+    # the shipped exact sweeps against the rows recorded in the benchmark's
+    # reference file (read only): S to 1e-8, and the same cutoff and verdict
+    ref = json.loads((FIG_REFERENCE / "fig_sweeps.json").read_text(encoding="utf-8"))[fig]
+    rows = run_sweep(parse_config_text(figure_config_text(fig)))
+    assert [r["grid_value"] for r in rows] == [r["grid_value"] for r in ref]
+    for row, want in zip(rows, ref):
+        assert row["snr"] == pytest.approx(want["snr"], rel=1e-8, abs=0)
+        assert (row["n_max"], row["converged"]) == (want["n_max"], want["converged"])

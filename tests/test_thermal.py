@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcprobe import operators, thermal
 from rcprobe.baseline import weak_snr
@@ -9,6 +11,7 @@ from rcprobe.errors import ConvergenceError, NumericalDomainError
 from rcprobe.operators import ProbeParams, build_mapped_hamiltonian, sector_multiplicities
 from rcprobe.thermal import (
     _parity_blocks,
+    _sector_data,
     converge_nmax,
     djz_deps,
     eigendecompose,
@@ -267,3 +270,83 @@ def test_maximal_sector_flag():
     full = thermal_observables(p, 2.0, 24, sector="full")
     maximal = thermal_observables(p, 2.0, 24, sector="maximal")
     assert full.lnZ > maximal.lnZ  # sub-maximal sectors add weight
+
+
+def _direct(p, beta, n_max):
+    """(lnZ, <Jz>, Var_proj, Var_Kubo) with the Kubo pairs summed directly.
+
+    The d x d reference: every ordered pair (i, j) of a block enters with
+    weight e^{-beta (min(E_i, E_j) - e0)} (1 - e^{-x}) / x, x = beta |E_i - E_j|.
+    lnZ, <Jz> and Var_proj are formed with the same arithmetic as thermal.
+    """
+    data = []
+    for J, mult, rows, E, V in _parity_blocks(p, n_max):
+        M = V.T @ ((rows // (n_max + 1) - J)[:, None] * V)
+        d1 = np.diag(M).copy()
+        np.fill_diagonal(M, 0.0)
+        M *= M
+        data.append((mult, E, d1, M.sum(axis=1), M))
+    e0 = min(E[0] for _, E, _, _, _ in data)
+    ws = [mult * np.exp(-beta * (E - e0)) for mult, E, _, _, _ in data]
+    zt = sum(w.sum() for w in ws)
+    m1 = sum(w @ d1 for w, (_, _, d1, _, _) in zip(ws, data)) / zt
+    varp = vark = 0.0
+    for w, (mult, E, d1, r, M2) in zip(ws, data):
+        diag = w @ (d1 - m1) ** 2
+        varp += diag + w @ r
+        x = beta * np.abs(np.subtract.outer(E, E))
+        xs = np.where(x == 0, 1.0, x)
+        phi = np.where(x == 0, 1.0, -np.expm1(-xs) / xs)
+        kw = np.exp(-beta * (np.minimum.outer(E, E) - e0)) * phi
+        vark += diag + mult * np.sum(M2 * kw)
+    return np.log(zt) - beta * e0, m1, varp / zt, vark / zt
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    N=st.integers(1, 5),
+    g=st.one_of(st.just(0.0), st.floats(1e-4, 1.5)),
+    eps=st.one_of(st.just(1.0), st.floats(0.0, 2.5)),
+    log_beta=st.floats(-3.0, 3.0),
+    n_max=st.integers(2, 14),
+)
+def test_kubo_second_order_form_matches_the_pair_sum(N, g, eps, log_beta, n_max):
+    p = ProbeParams(N=N, epsilon=eps, omega=1.0, g=g)
+    beta = 10.0**log_beta
+    obs = thermal_observables(p, beta, n_max)
+    lnz, m1, var, vark = _direct(p, beta, n_max)
+    assert (obs.lnZ, obs.mean_Jz, obs.var_Jz) == (lnz, m1, var)
+    assert obs.var_Jz_kubo == pytest.approx(vark, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("g", [0.0, 1e-8])
+def test_degenerate_pairs_are_summed_exactly(g):
+    # g = 0 with eps = omega: E = eps*m + omega*n repeats, so a block holds
+    # exactly degenerate pairs, which the second-order sum cannot take; g = 1e-8
+    # splits them by ~1e-8, where it would lose ~7 digits at beta*omega = 1e-3
+    p = ProbeParams(N=3, epsilon=1.0, omega=1.0, g=g)
+    gaps = np.concatenate([near[1] for *_, near in _sector_data(p, 10)])
+    assert gaps.size and np.all(gaps < thermal.NEAR * p.omega)
+    assert np.any(gaps == 0.0) == (g == 0.0)
+    for beta in (1e-3, 1.0, 1e3):
+        assert thermal_observables(p, beta, 10).var_Jz_kubo == pytest.approx(
+            _direct(p, beta, 10)[3], rel=1e-12, abs=0)
+
+
+def test_block_records_are_one_dimensional():
+    # the per-block record is O(d): no d x d array is kept across beta
+    def arrays(x):
+        if isinstance(x, tuple):
+            return [a for y in x for a in arrays(y)]
+        return [np.asarray(x)]
+
+    p = ProbeParams(N=3, epsilon=1.0, omega=1.0, g=0.7)
+    for rec in _sector_data(p, 20):
+        assert all(a.ndim <= 1 for a in arrays(rec))
+
+
+@pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
+def test_nonfinite_or_nonpositive_beta_rejected(beta):
+    p = ProbeParams(N=2, epsilon=1.0, omega=1.0, g=0.3)
+    with pytest.raises(NumericalDomainError, match="beta must be positive and finite"):
+        thermal_observables(p, beta, 8)
