@@ -27,7 +27,7 @@ from .dicke import DickeParams, dicke_solution, hp_excitations
 from .errors import ConfigError, ConvergenceError, ParameterError, RcprobeError
 from .operators import ProbeParams
 from .rcmap import OhmicResidual, verify_equivalence
-from .thermal import snr_exact
+from .thermal import cutoff_converged, snr_exact
 from .units import convert_units
 
 EXIT_CONFIG = 2
@@ -109,8 +109,10 @@ def _cmd_snr(args):
     pt = snr_exact(p, beta, n_max=args.n_max, noise=args.noise, sector=args.sector)
     print(json.dumps({
         "beta_omega": beta, "snr": pt.snr, "snr_weak": pt.snr_weak,
-        "delta_snr": pt.snr - pt.snr_weak, "ratio": pt.snr / pt.snr_weak,
-        "n_max": args.n_max,
+        "delta_snr": pt.snr - pt.snr_weak,
+        # snr_weak underflows to 0 at extreme temperatures; JSON has no Infinity
+        "ratio": pt.snr / pt.snr_weak if pt.snr_weak > 0 else None,
+        "n_max": args.n_max, "p_top": pt.p_top, "converged": cutoff_converged(pt.p_top),
     }, indent=2))
     return 0
 

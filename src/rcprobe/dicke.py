@@ -28,7 +28,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .baseline import weak_snr
-from .errors import NumericalDomainError
+from .errors import NumericalDomainError, ParameterError
 from .thermal import SnrPoint, ThermalObservables
 
 NORMAL = "normal"
@@ -44,7 +44,7 @@ class DickeParams:
 
     def __post_init__(self):
         if min(self.epsilon, self.omega, self.gbar) <= 0 or self.N < 1:
-            raise NumericalDomainError("epsilon, omega, gbar must be positive; N >= 1")
+            raise ParameterError("epsilon, omega, gbar must be positive; N >= 1")
 
     @property
     def mu(self):
@@ -119,9 +119,16 @@ def _saddle(p: DickeParams, beta):
         raise NumericalDomainError(f"beta must be positive and finite, got {beta}")
     tc = critical_temperature(p)
     if tc is None or 1.0 / beta >= tc:
-        return NORMAL, tc, 1.0, 0.0
-    eta = solve_eta(p, beta)  # >= 1
-    return SUPERRADIANT, tc, eta, p.epsilon * math.sqrt(eta * eta - 1.0) / (4.0 * p.gbar)
+        phase, eta, z0 = NORMAL, 1.0, 0.0
+    else:
+        phase, eta = SUPERRADIANT, solve_eta(p, beta)  # eta >= 1
+        z0 = p.epsilon * math.sqrt(eta * eta - 1.0) / (4.0 * p.gbar)
+    # N Phi and Phi'' grow as N beta times energies of order omega (1 + z0^2) + r;
+    # refuse a beta at which that product (doubled, for margin) leaves the float range
+    r = math.sqrt(p.epsilon**2 + 16.0 * p.gbar**2 * z0 * z0)
+    if not math.isfinite(2.0 * p.N * beta * (p.omega * (1.0 + z0 * z0) + r)):
+        raise NumericalDomainError(f"beta = {beta} too large: lnZ overflows a float")
+    return phase, tc, eta, z0
 
 
 def laplace_partition(p: DickeParams, beta):

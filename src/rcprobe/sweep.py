@@ -20,12 +20,14 @@ Recognized keys:
   sector           full | maximal
   noise            auto | projective | susceptibility
   n_max            Fock cutoff (rabi_exact/grwa); "auto" converges per point.
-                   converged: fixed n_max, S(n) agrees with S(max(n/2, 8)) to
-                   1e-6; auto, lnZ, <Jz> and S are stable against 2*n_max
+                   converged: the fitted truncation estimate TOP_C * p_top
+                   at the row's n_max is below 1e-6 (p_top the Gibbs
+                   population of the top Fock level); an auto row takes the
+                   first cutoff in 16, 32, 64, ... that passes this test
 
-A fixed-cutoff rabi_exact sweep diagonalizes each distinct Hamiltonian once
-per cutoff (n_max and its half) and evaluates every row's temperature from
-those spectra; n_max = "auto" rows run the convergence loop per point.
+A fixed-cutoff rabi_exact sweep diagonalizes each distinct Hamiltonian once,
+at its cutoff, and evaluates every row's temperature and verdict from those
+spectra; n_max = "auto" rows run the doubling loop per point.
 
 Output rows carry the fixed column set
 grid_value, beta_omega, snr, snr_weak, delta_snr, n_max, converged, phase, eta
@@ -47,7 +49,7 @@ from .dicke import DickeParams, dicke_solution
 from .errors import ConfigError, NumericalDomainError, RcprobeError
 from .grwa import asymptotic_snr, ground_energy_derivs
 from .operators import ProbeParams
-from .thermal import _combine, _sector_data, _snr, converge_nmax
+from .thermal import _combine, _sector_data, _snr, converge_nmax, cutoff_converged
 
 COLUMNS = (
     "grid_value",
@@ -239,14 +241,14 @@ def _row(cfg: SweepConfig, x, spectra):
             derivs = ground_energy_derivs(p.N, p.epsilon, 1.0, p.g)
             snr = asymptotic_snr(p.N, derivs, beta)
             sw = weak_snr(p.N, p.epsilon, beta).snr
-        elif cfg.n_max == "auto":  # rabi_exact; the loop's stability test decides
+        elif cfg.n_max == "auto":  # rabi_exact; the loop accepts only a converged cutoff
             n_used, snr = converge_nmax(p, beta, noise=cfg.noise, sector=cfg.sector)
             sw = weak_snr(p.N, p.epsilon, beta).snr
-        else:  # rabi_exact at a fixed cutoff, checked against half of it
+        else:  # rabi_exact at a fixed cutoff, judged by its top level's population
             n_used = cfg.n_max
-            snr = _snr(p, _combine(spectra(p, n_used), beta), cfg.noise)
-            half = _snr(p, _combine(spectra(p, max(n_used // 2, 8)), beta), cfg.noise)
-            converged = bool(abs(snr - half) <= 1e-6 * max(abs(snr), 1e-300))
+            obs = _combine(spectra(p), beta)
+            snr = _snr(p, obs, cfg.noise)
+            converged = cutoff_converged(obs.p_top)
             sw = weak_snr(p.N, p.epsilon, beta).snr
     except RcprobeError:
         return {
@@ -267,18 +269,16 @@ def _row(cfg: SweepConfig, x, spectra):
 def run_sweep(cfg: SweepConfig, jobs=1):
     """Evaluate every grid point; rows sorted by grid value."""
     xs = sorted(cfg.grid)
-    # spectra of one ProbeParams (the cutoff and its half), kept for this call only
+    # spectra of the last ProbeParams at the config's cutoff, kept for this call only
     cache, lock = {}, threading.Lock()
 
-    def spectra(p, n_max):
-        key = (p, n_max, cfg.sector)
-        with lock:  # one solve per key, also under jobs > 1
-            if key not in cache:
-                data = _sector_data(*key)  # an RcprobeError leaves nothing stored
-                if any(k[0] != p for k in cache):
-                    cache.clear()
-                cache[key] = data
-            return cache[key]
+    def spectra(p):
+        with lock:  # one solve per ProbeParams, also under jobs > 1
+            if p not in cache:
+                data = _sector_data(p, cfg.n_max, cfg.sector)  # an RcprobeError stores nothing
+                cache.clear()
+                cache[p] = data
+            return cache[p]
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -25,6 +25,13 @@ w_i the Boltzmann weights and R_i = sum_{j != i} M_ij^2 / (E_j - E_i) (M = V^T J
 independent of beta, so each beta costs O(d) per block; pairs closer than
 NEAR*omega, degeneracies included, keep the direct (1 - e^{-x})/x weight.
 
+The Fock cutoff is judged from the same solve: p_top, the Gibbs population
+of the top level n_max, is sum_k w_k t_k / Z with the beta-independent
+t_k = sum_m V[(m, n_max), k]^2, O(d) per beta.  TOP_C * p_top estimates the
+relative truncation error of S; TOP_C = 300 is fitted, not a bound (over
+N = 1-4, g = 0.1-0.7, beta*omega = 0.5-60 and n_max = 8-48 the error against
+n_max = 192 stayed below 235 p_top).
+
 The "auto" split reproduces the published low-temperature scaling laws:
 the single-spin SNR saturates (T^0) with the projective denominator while
 the N >= 2 SNR grows as 1/T with the susceptibility denominator.
@@ -41,9 +48,10 @@ from .operators import ProbeParams, build_mapped_hamiltonian, sector_multiplicit
 
 NOISE_CHANNELS = ("projective", "susceptibility", "auto")
 
-# converge_nmax: first cutoff, largest cutoff, and the stability tolerances
+# converge_nmax: first cutoff and largest cutoff
 NMAX_START, NMAX_CAP = 16, 4096
-REL_TOL, LNZ_TOL = 1e-6, 1e-8
+# a cutoff is accepted when the fitted truncation estimate TOP_C * p_top < REL_TOL
+TOP_C, REL_TOL = 300.0, 1e-6
 NEAR = 1e-2  # Kubo pairs closer than NEAR*omega are summed directly at each beta
 
 
@@ -56,6 +64,8 @@ class ThermalObservables:
     var_Jz: float
     # generalized (Kubo) variance; equals var_Jz only when [H, Jz] = 0
     var_Jz_kubo: float = 0.0
+    # Gibbs population of the top Fock level n_max; 0 where there is no cutoff
+    p_top: float = 0.0
 
     @property
     def mean_Jz2_kubo(self):
@@ -67,6 +77,12 @@ class SnrPoint:
     beta: float
     snr: float
     snr_weak: float
+    p_top: float = 0.0  # as ThermalObservables.p_top, from the same solve
+
+
+def cutoff_converged(p_top):
+    """True when the fitted truncation estimate TOP_C * p_top is below REL_TOL."""
+    return bool(TOP_C * p_top < REL_TOL)
 
 
 def eigendecompose(A):
@@ -108,9 +124,10 @@ def _parity_blocks(p: ProbeParams, n_max, sector="full"):
 
 
 def _sector_data(p: ProbeParams, n_max, sector="full"):
-    """Beta-independent record per parity block: (mult, E, diag M, M2 row sums, R, near).
+    """Beta-independent record per parity block: (mult, E, diag M, M2 row sums, R, t, near).
 
-    M = V^T Jz V, M2 its off-diagonal squares; near = (i, E_j - E_i, M2_ij), pairs i < j.
+    M = V^T Jz V, M2 its off-diagonal squares; t_k is eigenvector k's weight on
+    the top Fock level n_max; near = (i, E_j - E_i, M2_ij), pairs i < j.
     """
     out = []
     for J, mult, rows, E, V in _parity_blocks(p, n_max, sector):
@@ -126,7 +143,9 @@ def _sector_data(p: ProbeParams, n_max, sector="full"):
         gap = E - E[:, None]
         gap[i, j] = gap[j, i] = np.inf
         np.fill_diagonal(gap, np.inf)
-        out.append((mult, E, d1, M.sum(axis=1), (M / gap).sum(axis=1), (i, E[j] - E[i], M[i, j])))
+        t = np.square(V[rows % (n_max + 1) == n_max]).sum(axis=0)
+        out.append((mult, E, d1, M.sum(axis=1), (M / gap).sum(axis=1), t,
+                    (i, E[j] - E[i], M[i, j])))
     return out
 
 
@@ -134,12 +153,13 @@ def _combine(data, beta):
     """Gibbs state at one beta from the block records, in O(d) per block."""
     if not 0 < beta < np.inf:
         raise NumericalDomainError(f"beta must be positive and finite, got {beta}")
-    e0 = min(E[0] for _, E, _, _, _, _ in data)
-    ws = [mult * np.exp(-beta * (E - e0)) for mult, E, _, _, _, _ in data]
+    e0 = min(E[0] for _, E, *_ in data)
+    ws = [mult * np.exp(-beta * (E - e0)) for mult, E, *_ in data]
     zt = sum(w.sum() for w in ws)
-    m1 = sum(w @ d1 for w, (_, _, d1, _, _, _) in zip(ws, data)) / zt
-    varp = vark = 0.0
-    for w, (_, _, d1, r, R, (i, gap, m2)) in zip(ws, data):
+    m1 = sum(w @ d1 for w, (_, _, d1, *_) in zip(ws, data)) / zt
+    varp = vark = top = 0.0
+    for w, (_, _, d1, r, R, t, (i, gap, m2)) in zip(ws, data):
+        top += w @ t
         diag = w @ (d1 - m1) ** 2
         varp += diag + w @ r
         vark += diag + (2 / beta) * (w @ R)
@@ -147,7 +167,7 @@ def _combine(data, beta):
             vark += 2 * m2 @ (w[i] * _phi(beta * gap))
     return ThermalObservables(
         beta=beta, lnZ=np.log(zt) - beta * e0, mean_Jz=m1, mean_Jz2=varp / zt + m1 * m1,
-        var_Jz=varp / zt, var_Jz_kubo=vark / zt,
+        var_Jz=varp / zt, var_Jz_kubo=vark / zt, p_top=top / zt,
     )
 
 
@@ -180,33 +200,28 @@ def snr_exact(p: ProbeParams, beta, n_max=128, noise="auto", sector="full"):
     """Exact SNR S = |d<Jz>/d eps|^2 / noise at one parameter point.
 
     `noise` selects the variance channel (see module docstring).  Returns
-    SnrPoint(beta, snr, snr_weak); snr_weak is the closed-form g = 0 value.
+    SnrPoint(beta, snr, snr_weak, p_top); snr_weak is the closed-form g = 0
+    value, p_top the top Fock level's population.
     """
-    snr = _snr(p, thermal_observables(p, beta, n_max, sector), noise)
-    return SnrPoint(beta=beta, snr=snr, snr_weak=weak_snr(p.N, p.epsilon, beta).snr)
+    obs = thermal_observables(p, beta, n_max, sector)
+    return SnrPoint(beta=beta, snr=_snr(p, obs, noise),
+                    snr_weak=weak_snr(p.N, p.epsilon, beta).snr, p_top=obs.p_top)
 
 
 def converge_nmax(p: ProbeParams, beta, noise="auto", sector="full"):
-    """Smallest stable n_max in a doubling sequence, and the snr there.
+    """First accepted n_max in a doubling sequence, and the snr there.
 
-    Returns (n_max, snr): the first cutoff from NMAX_START whose (lnZ, <Jz>,
-    snr) agree with those at 2*n_max (lnZ to LNZ_TOL, the others to REL_TOL),
-    and the snr the loop already computed at that cutoff.  The doubling stops
-    at NMAX_CAP, or where the next cutoff's largest sector would exceed
-    operators.DIM_CAP, with a ConvergenceError.
+    Returns (n_max, snr): the first cutoff from NMAX_START at which the fitted
+    truncation estimate TOP_C * p_top is below REL_TOL (cutoff_converged), and
+    the snr of that one solve.  The doubling stops at NMAX_CAP, or where the
+    next cutoff's largest sector would exceed operators.DIM_CAP, with a
+    ConvergenceError.
     """
-    prev = None
     n = NMAX_START
     while n <= NMAX_CAP and (p.N + 1) * (n + 1) <= operators.DIM_CAP:
         obs = thermal_observables(p, beta, n, sector)
-        cur = (obs.lnZ, obs.mean_Jz, _snr(p, obs, noise))
-        if prev is not None:
-            dz = abs(cur[0] - prev[0]) / max(abs(cur[0]), 1.0)
-            dm = abs(cur[1] - prev[1]) / max(abs(cur[1]), 1e-30)
-            ds = abs(cur[2] - prev[2]) / max(abs(cur[2]), 1e-300)
-            if dz < LNZ_TOL and dm < REL_TOL and ds < REL_TOL:
-                return n // 2, prev[2]
-        prev = cur
+        if cutoff_converged(obs.p_top):
+            return n, _snr(p, obs, noise)
         n *= 2
     raise ConvergenceError(f"n_max not converged by {n // 2} at beta={beta}, g={p.g}")
 

@@ -10,8 +10,10 @@ from rcprobe.baseline import weak_snr
 from rcprobe.errors import ConvergenceError, NumericalDomainError
 from rcprobe.operators import ProbeParams, build_mapped_hamiltonian, sector_multiplicities
 from rcprobe.thermal import (
+    _combine,
     _parity_blocks,
     _sector_data,
+    _snr,
     converge_nmax,
     djz_deps,
     eigendecompose,
@@ -194,6 +196,64 @@ def test_converge_nmax_behaviour():
         for b in (10.0, 1.0, 0.1)
     ]
     assert ms[0] <= ms[1] <= ms[2]
+
+
+@pytest.mark.parametrize("N, beta", [(1, 0.5), (2, 3.0), (3, 40.0)])
+def test_top_level_population_at_g0(N, beta):
+    # at g = 0 the mode is a free oscillator: p_top = e^{-beta n} / sum_{k <= n} e^{-beta k}
+    n = 12
+    p = ProbeParams(N=N, epsilon=0.8, omega=1.0, g=0.0)
+    want = math.exp(-beta * n) / np.sum(np.exp(-beta * np.arange(n + 1.0)))
+    assert thermal_observables(p, beta, n).p_top == pytest.approx(want, rel=1e-12)
+
+
+def test_top_level_population_is_the_reduced_weight_of_level_n_max():
+    # p_top against the Fock-level populations of the full Gibbs state
+    p = ProbeParams(N=3, epsilon=0.9, omega=1.0, g=0.7)
+    beta, n = 0.7, 10
+    raw = list(_parity_blocks(p, n))
+    e0 = min(E[0] for *_, E, _ in raw)
+    pops = np.zeros(n + 1)
+    for J, mult, rows, E, V in raw:
+        np.add.at(pops, rows % (n + 1), mult * (V**2) @ np.exp(-beta * (E - e0)))
+    got = thermal_observables(p, beta, n).p_top
+    assert got == pytest.approx(pops[n] / pops.sum(), rel=1e-12)
+    assert 1e-6 < got < 1e-2
+
+
+def test_cutoff_rule_holds_on_a_seeded_grid():
+    # wherever the fitted estimate TOP_C * p_top(n) is below 1e-6, the cutoff n
+    # must give S and <Jz> within 1e-6 of n' = 2n, and lnZ within 1e-8: the
+    # tolerances of the former doubling loop, which compared n with 2n
+    gs = np.sort(np.random.default_rng(11).uniform(0.1, 0.7, 6))
+    ns = (8, 16, 24, 32, 40, 48)
+    accepted = 0
+    for N in (1, 2, 3, 4):
+        for g in gs:
+            p = ProbeParams(N=N, epsilon=1.0, omega=1.0, g=float(g))
+            data = {n: _sector_data(p, n) for n in sorted({*ns, *(2 * n for n in ns)})}
+            for beta in (0.5, 2.0, 10.0, 60.0):
+                for n in ns:
+                    obs, ref = _combine(data[n], beta), _combine(data[2 * n], beta)
+                    if thermal.TOP_C * obs.p_top >= 1e-6:
+                        continue
+                    accepted += 1
+                    s, s_ref = _snr(p, obs, "auto"), _snr(p, ref, "auto")
+                    assert abs(s - s_ref) <= 1e-6 * abs(s_ref), (N, g, beta, n)
+                    assert abs(obs.mean_Jz - ref.mean_Jz) <= 1e-6 * abs(ref.mean_Jz)
+                    assert abs(obs.lnZ - ref.lnZ) <= 1e-8 * max(abs(ref.lnZ), 1.0)
+    # the rule both accepts and refuses cutoffs on this grid
+    assert 300 < accepted < 4 * 6 * 4 * 6
+
+
+def test_converge_nmax_at_strong_coupling_and_large_n():
+    # gbar = sqrt(N) g / 2 = 0.8 at beta*omega = 20: the loop stops at 32, and
+    # the snr there is within the fitted estimate of the one at n_max = 128
+    p = ProbeParams(N=16, epsilon=1.0, omega=1.0, g=0.4)
+    n, snr = converge_nmax(p, 20.0)
+    assert n == 32
+    err = abs(snr - snr_exact(p, 20.0, n_max=128).snr) / snr
+    assert err < thermal.TOP_C * thermal_observables(p, 20.0, 32).p_top < 1e-6
 
 
 def test_converge_nmax_cap(monkeypatch):
