@@ -43,8 +43,9 @@ class DickeParams:
     N: int = 1
 
     def __post_init__(self):
-        if min(self.epsilon, self.omega, self.gbar) <= 0 or self.N < 1:
-            raise ParameterError("epsilon, omega, gbar must be positive; N >= 1")
+        e, w, gb = self.epsilon, self.omega, self.gbar
+        if not (0 < e < math.inf and 0 < w < math.inf and 0 < gb < math.inf) or self.N < 1:
+            raise ParameterError("epsilon, omega, gbar must be positive and finite; N >= 1")
 
     @property
     def mu(self):

@@ -10,7 +10,7 @@ composite state |m, n> sits at row (m + J)*(n_max + 1) + n.
 """
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
@@ -25,9 +25,9 @@ class ProbeParams:
     """Physical parameters of the probe coupled to the extracted bath mode.
 
     N        number of spin-1/2 constituents
-    epsilon  probe level splitting (angular-frequency units, >= 0)
-    omega    frequency of the extracted collective mode (> 0)
-    g        probe-mode coupling (>= 0)
+    epsilon  probe level splitting (angular-frequency units, finite, >= 0)
+    omega    frequency of the extracted collective mode (finite, > 0)
+    g        probe-mode coupling (finite, >= 0)
     """
 
     N: int
@@ -38,6 +38,9 @@ class ProbeParams:
     def __post_init__(self):
         if self.N < 1 or int(self.N) != self.N:
             raise ParameterError(f"N must be a positive integer, got {self.N}")
+        if not (isfinite(self.epsilon) and isfinite(self.omega) and isfinite(self.g)):
+            raise ParameterError(f"epsilon, omega and g must be finite, got "
+                                 f"{self.epsilon}, {self.omega}, {self.g}")
         if self.omega <= 0:
             raise ParameterError(f"omega must be positive, got {self.omega}")
         if self.epsilon < 0:

@@ -9,14 +9,13 @@ Recognized keys:
 
   schema_version   must be 1
   model            rabi_exact | grwa | dicke | weak
-  N                spin count (rabi_exact/grwa/weak)
+  N                spin count, a positive integer (rabi_exact/grwa/weak)
   epsilon, g       probe splitting and coupling, units of omega
   gbar             intensive Dicke coupling, units of omega (dicke)
   grid_axis        beta_omega | g_over_omega | epsilon_over_omega | gbar_over_omega | N
   grid_values      comma list, or grid_start/grid_stop/grid_points (+ grid_scale)
   beta_omega       fixed inverse temperature when another axis is swept;
                    it and every beta_omega grid value must be finite, > 0
-  convention       difference | per_spin   (delta_snr convention)
   sector           full | maximal
   noise            auto | projective | susceptibility
   n_max            Fock cutoff (rabi_exact/grwa); "auto" converges per point.
@@ -25,9 +24,11 @@ Recognized keys:
                    population of the top Fock level); an auto row takes the
                    first cutoff in 16, 32, 64, ... that passes this test
 
-A fixed-cutoff rabi_exact sweep diagonalizes each distinct Hamiltonian once,
-at its cutoff, and evaluates every row's temperature and verdict from those
-spectra; n_max = "auto" rows run the doubling loop per point.
+A fixed-cutoff rabi_exact sweep along beta_omega has one Hamiltonian: it is
+diagonalized once, at the cutoff, before the rows are evaluated, and every
+row's temperature and verdict are read from those spectra.  Along any other
+axis each row solves its own Hamiltonian, so under jobs > 1 the solves run
+concurrently; n_max = "auto" rows run the doubling loop per point.
 
 Output rows carry the fixed column set
 grid_value, beta_omega, snr, snr_weak, delta_snr, n_max, converged, phase, eta
@@ -37,7 +38,6 @@ grid_value, beta_omega, snr, snr_weak, delta_snr, n_max, converged, phase, eta
 import csv
 import io
 import json
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -63,13 +63,19 @@ COLUMNS = (
     "eta",
 )
 
-_MODELS = ("rabi_exact", "grwa", "dicke", "weak")
-_AXES = ("beta_omega", "g_over_omega", "epsilon_over_omega", "gbar_over_omega", "N")
-
+# grid axis -> the SweepConfig number it sets; those numbers are also config keys
+_AXES = {"beta_omega": "beta_omega", "g_over_omega": "g", "epsilon_over_omega": "epsilon",
+         "gbar_over_omega": "gbar", "N": "N"}
+# keys with a fixed set of values; sector and noise default to their first
+_CHOICES = {
+    "model": ("rabi_exact", "grwa", "dicke", "weak"),
+    "grid_axis": tuple(_AXES),
+    "sector": ("full", "maximal"),
+    "noise": ("auto", "projective", "susceptibility"),
+}
 _KNOWN_KEYS = {
-    "schema_version", "model", "N", "epsilon", "g", "gbar", "grid_axis",
-    "grid_values", "grid_start", "grid_stop", "grid_points", "grid_scale",
-    "beta_omega", "convention", "sector", "noise", "n_max",
+    "schema_version", "grid_values", "grid_start", "grid_stop", "grid_points", "grid_scale",
+    "n_max", *_CHOICES, *_AXES.values(),
 }
 
 
@@ -83,10 +89,15 @@ class SweepConfig:
     g: float = 0.0
     gbar: float = 0.0
     beta_omega: float = 10.0
-    convention: str = "difference"
     sector: str = "full"
     noise: str = "auto"
     n_max: int | str = 64
+
+
+def _spin_count(v, field):
+    if not (v >= 1 and v.is_integer()):  # false for nan and inf too
+        raise ConfigError(f"must be a positive integer, got {v!r}", field=field)
+    return int(v)
 
 
 def parse_config_text(text) -> SweepConfig:
@@ -111,9 +122,7 @@ def parse_config_text(text) -> SweepConfig:
             raise ConfigError("required key missing", field=key)
         return kv[key]
 
-    def fnum(key, default=None):
-        if key not in kv:
-            return default
+    def fnum(key):
         try:
             return float(kv[key])
         except ValueError as exc:
@@ -122,12 +131,12 @@ def parse_config_text(text) -> SweepConfig:
     if req("schema_version") != "1":
         raise ConfigError(f"unsupported schema_version {kv['schema_version']!r}",
                           field="schema_version")
-    model = req("model")
-    if model not in _MODELS:
-        raise ConfigError(f"must be one of {_MODELS}, got {model!r}", field="model")
-    axis = req("grid_axis")
-    if axis not in _AXES:
-        raise ConfigError(f"must be one of {_AXES}, got {axis!r}", field="grid_axis")
+    choice = {}
+    for key, allowed in _CHOICES.items():
+        choice[key] = kv.get(key, allowed[0]) if key in ("sector", "noise") else req(key)
+        if choice[key] not in allowed:
+            raise ConfigError(f"must be one of {allowed}, got {choice[key]!r}", field=key)
+    axis = choice["grid_axis"]
 
     if "grid_values" in kv:
         try:
@@ -135,25 +144,27 @@ def parse_config_text(text) -> SweepConfig:
         except ValueError as exc:
             raise ConfigError("bad number in list", field="grid_values") from exc
     else:
-        a, b = fnum("grid_start"), fnum("grid_stop")
-        npts = fnum("grid_points")
-        if a is None or b is None or npts is None:
+        if not {"grid_start", "grid_stop", "grid_points"} <= kv.keys():
             raise ConfigError("need grid_values or grid_start/grid_stop/grid_points",
                               field="grid_values")
+        a, b, npts = fnum("grid_start"), fnum("grid_stop"), fnum("grid_points")
         scale = kv.get("grid_scale", "linear")
         spacing = {"linear": np.linspace, "log": np.geomspace}.get(scale)
         if spacing is None:
             raise ConfigError(f"must be linear|log, got {scale!r}", field="grid_scale")
         try:
             grid = tuple(float(v) for v in spacing(a, b, int(npts)))
-        except ValueError as exc:  # grid_points < 0, or a log scale through 0
+        except (ValueError, OverflowError) as exc:  # grid_points < 0 or inf; a log scale through 0
             raise ConfigError(str(exc), field="grid_values") from exc
     if not grid:
         raise ConfigError("grid is empty", field="grid_values")
     if axis == "beta_omega" and not all(0 < v < np.inf for v in grid):
         raise ConfigError("beta_omega values must be finite and > 0", field="grid_values")
+    if axis == "N":
+        for v in grid:
+            _spin_count(v, "grid_values")
 
-    if model == "dicke":
+    if choice["model"] == "dicke":
         if "g" in kv and "N" not in kv:
             raise ConfigError("dicke model takes gbar (intensive); "
                               "a per-spin g requires N", field="g")
@@ -170,29 +181,10 @@ def parse_config_text(text) -> SweepConfig:
         if n_max < 1:
             raise ConfigError("must be >= 1", field="n_max")
 
-    cfg = SweepConfig(
-        model=model,
-        grid_axis=axis,
-        grid=grid,
-        N=int(fnum("N", 1)),
-        epsilon=fnum("epsilon", 1.0),
-        g=fnum("g", 0.0),
-        gbar=fnum("gbar", 0.0),
-        beta_omega=fnum("beta_omega", 10.0),
-        convention=kv.get("convention", "difference"),
-        sector=kv.get("sector", "full"),
-        noise=kv.get("noise", "auto"),
-        n_max=n_max,
-    )
-    for field, val, allowed in (
-        ("convention", cfg.convention, ("difference", "per_spin")),
-        ("sector", cfg.sector, ("full", "maximal")),
-        ("noise", cfg.noise, ("auto", "projective", "susceptibility")),
-    ):
-        if val not in allowed:
-            raise ConfigError(f"must be one of {allowed}, got {val!r}", field=field)
-    if cfg.N < 1:
-        raise ConfigError("must be >= 1", field="N")
+    nums = {key: fnum(key) for key in _AXES.values() if key in kv}
+    if "N" in nums:
+        nums["N"] = _spin_count(nums["N"], "N")
+    cfg = SweepConfig(grid=grid, n_max=n_max, **choice, **nums)
     if not 0 < cfg.beta_omega < np.inf:
         raise ConfigError(f"must be finite and > 0, got {cfg.beta_omega}", field="beta_omega")
     return cfg
@@ -205,60 +197,43 @@ def load_config(path) -> SweepConfig:
 
 def _point_params(cfg: SweepConfig, x):
     """(ProbeParams-or-DickeParams, beta) at one grid value."""
-    axis = cfg.grid_axis
-    beta = x if axis == "beta_omega" else cfg.beta_omega
+    v = vars(cfg) | {_AXES[cfg.grid_axis]: x}
     if cfg.model == "dicke":
-        p = DickeParams(
-            epsilon=x if axis == "epsilon_over_omega" else cfg.epsilon,
-            omega=1.0,
-            gbar=x if axis == "gbar_over_omega" else cfg.gbar,
-            N=int(x) if axis == "N" else cfg.N,
-        )
+        p = DickeParams(epsilon=v["epsilon"], omega=1.0, gbar=v["gbar"], N=int(v["N"]))
     else:
-        p = ProbeParams(
-            N=int(x) if axis == "N" else cfg.N,
-            epsilon=x if axis == "epsilon_over_omega" else cfg.epsilon,
-            omega=1.0,
-            g=x if axis == "g_over_omega" else cfg.g,
-        )
-    return p, beta
+        p = ProbeParams(N=int(v["N"]), epsilon=v["epsilon"], omega=1.0, g=v["g"])
+    return p, v["beta_omega"]
 
 
-def _row(cfg: SweepConfig, x, spectra):
+def _row(cfg: SweepConfig, x, spectra=None):
+    """One output row.  `spectra` is the shared solve of a fixed-cutoff beta sweep;
+    a point that raises RcprobeError gives NaN values and converged false."""
     p, beta = _point_params(cfg, x)
     phase = eta = ""
     n_used = 0
     converged = True
     try:
         if cfg.model == "weak":
-            wr = weak_snr(p.N, p.epsilon, beta)
-            snr = sw = wr.snr
+            snr = sw = weak_snr(p.N, p.epsilon, beta).snr
         elif cfg.model == "dicke":
             sol = dicke_solution(p, beta)
-            snr, sw = sol.snr, sol.snr_weak
-            phase, eta = sol.phase, sol.eta
-        elif cfg.model == "grwa":
-            derivs = ground_energy_derivs(p.N, p.epsilon, 1.0, p.g)
-            snr = asymptotic_snr(p.N, derivs, beta)
+            snr, sw, phase, eta = sol.snr, sol.snr_weak, sol.phase, sol.eta
+        else:
+            if cfg.model == "grwa":
+                derivs = ground_energy_derivs(p.N, p.epsilon, 1.0, p.g)
+                snr = asymptotic_snr(p.N, derivs, beta)
+            elif cfg.n_max == "auto":  # rabi_exact; the loop accepts only a converged cutoff
+                n_used, snr = converge_nmax(p, beta, noise=cfg.noise, sector=cfg.sector)
+            else:  # rabi_exact at a fixed cutoff, judged by its top level's population
+                n_used = cfg.n_max
+                obs = _combine(spectra or _sector_data(p, n_used, cfg.sector), beta)
+                snr = _snr(p, obs, cfg.noise)
+                converged = cutoff_converged(obs.p_top)
             sw = weak_snr(p.N, p.epsilon, beta).snr
-        elif cfg.n_max == "auto":  # rabi_exact; the loop accepts only a converged cutoff
-            n_used, snr = converge_nmax(p, beta, noise=cfg.noise, sector=cfg.sector)
-            sw = weak_snr(p.N, p.epsilon, beta).snr
-        else:  # rabi_exact at a fixed cutoff, judged by its top level's population
-            n_used = cfg.n_max
-            obs = _combine(spectra(p), beta)
-            snr = _snr(p, obs, cfg.noise)
-            converged = cutoff_converged(obs.p_top)
-            sw = weak_snr(p.N, p.epsilon, beta).snr
+        delta = snr - sw
     except RcprobeError:
-        return {
-            "grid_value": x, "beta_omega": beta, "snr": float("nan"),
-            "snr_weak": float("nan"), "delta_snr": float("nan"),
-            "n_max": n_used, "converged": False, "phase": phase, "eta": eta,
-        }
-    delta = snr - sw
-    if cfg.convention == "per_spin":
-        delta /= p.N
+        snr = sw = delta = float("nan")
+        converged = False
     return {
         "grid_value": x, "beta_omega": beta, "snr": snr, "snr_weak": sw,
         "delta_snr": delta, "n_max": n_used, "converged": converged,
@@ -269,23 +244,17 @@ def _row(cfg: SweepConfig, x, spectra):
 def run_sweep(cfg: SweepConfig, jobs=1):
     """Evaluate every grid point; rows sorted by grid value."""
     xs = sorted(cfg.grid)
-    # spectra of the last ProbeParams at the config's cutoff, kept for this call only
-    cache, lock = {}, threading.Lock()
-
-    def spectra(p):
-        with lock:  # one solve per ProbeParams, also under jobs > 1
-            if p not in cache:
-                data = _sector_data(p, cfg.n_max, cfg.sector)  # an RcprobeError stores nothing
-                cache.clear()
-                cache[p] = data
-            return cache[p]
-
+    spectra = None
+    if cfg.model == "rabi_exact" and cfg.n_max != "auto" and cfg.grid_axis == "beta_omega":
+        # a fixed-cutoff beta sweep: one Hamiltonian for every row
+        try:
+            spectra = _sector_data(_point_params(cfg, xs[0])[0], cfg.n_max, cfg.sector)
+        except RcprobeError:
+            pass  # each row repeats the solve and fails on its own
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda x: _row(cfg, x, spectra), xs))
-    else:
-        rows = [_row(cfg, x, spectra) for x in xs]
-    return rows
+            return list(pool.map(lambda x: _row(cfg, x, spectra), xs))
+    return [_row(cfg, x, spectra) for x in xs]
 
 
 @dataclass(frozen=True)

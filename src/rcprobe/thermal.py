@@ -154,7 +154,8 @@ def _combine(data, beta):
     if not 0 < beta < np.inf:
         raise NumericalDomainError(f"beta must be positive and finite, got {beta}")
     e0 = min(E[0] for _, E, *_ in data)
-    ws = [mult * np.exp(-beta * (E - e0)) for mult, E, *_ in data]
+    with np.errstate(over="ignore"):  # beta (E - e0) beyond the float range: weight 0
+        ws = [mult * np.exp(-beta * (E - e0)) for mult, E, *_ in data]
     zt = sum(w.sum() for w in ws)
     m1 = sum(w @ d1 for w, (_, _, d1, *_) in zip(ws, data)) / zt
     varp = vark = top = 0.0

@@ -16,7 +16,7 @@ from rcprobe.dicke import (
     phi_curvature,
     solve_eta,
 )
-from rcprobe.errors import NumericalDomainError
+from rcprobe.errors import NumericalDomainError, ParameterError
 from rcprobe.operators import ProbeParams
 from rcprobe.thermal import thermal_observables
 
@@ -210,6 +210,15 @@ def test_nonpositive_beta_rejected(beta):
     for f in (laplace_partition, dicke_observables, dicke_snr, dicke_solution):
         with pytest.raises(NumericalDomainError, match="beta must be positive"):
             f(p, beta)
+
+
+@pytest.mark.parametrize("field", ["epsilon", "omega", "gbar"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_bad_params_rejected(field, value):
+    # a nan fails no <= 0 test, and an inf reaches the saddle solve
+    kwargs = {"epsilon": 0.5, "omega": 1.0, "gbar": 0.9, field: value}
+    with pytest.raises(ParameterError, match="positive and finite"):
+        DickeParams(**kwargs)
 
 
 def test_gaussian_prefactor_survives_huge_beta():

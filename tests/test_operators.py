@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcprobe import operators
-from rcprobe.errors import NumericalDomainError
+from rcprobe.errors import NumericalDomainError, ParameterError
 from rcprobe.operators import (
     ProbeParams,
     boson_operators,
@@ -204,3 +204,12 @@ def test_bad_params_rejected():
         ProbeParams(N=1, epsilon=-1.0, omega=1.0, g=0.1)
     with pytest.raises(ValueError):
         ProbeParams(N=1, epsilon=1.0, omega=1.0, g=-0.1)
+
+
+@pytest.mark.parametrize("field", ["epsilon", "omega", "g"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_params_rejected(field, value):
+    # nan passes every < 0 test, and inf reaches the eigensolver
+    kwargs = {"N": 1, "epsilon": 1.0, "omega": 1.0, "g": 0.1, field: value}
+    with pytest.raises(ParameterError, match="finite"):
+        ProbeParams(**kwargs)

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import threading
 
 import numpy as np
 import pytest
@@ -80,6 +81,12 @@ def test_parse_comments_and_range():
          "grid_values = 0.1\nbeta_omega = inf", "beta_omega"),
         ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\n"
          "grid_values = 1, inf", "grid_values"),
+        *((f"schema_version = 1\nmodel = weak\nN = {n}\ngrid_axis = beta_omega\n"
+           "grid_values = 1", "N") for n in ("nan", "inf", "2.7", "0")),
+        ("schema_version = 1\nmodel = rabi_exact\ngrid_axis = N\n"
+         "grid_values = 1.5, 2.5", "grid_values"),
+        ("schema_version = 1\nmodel = weak\ngrid_axis = N\n"
+         "grid_values = 1, nan", "grid_values"),
     ],
 )
 def test_parse_errors_carry_field(text, field):
@@ -96,6 +103,9 @@ def test_parse_duplicate_key():
 def test_parse_unknown_key_warns():
     with pytest.warns(UserWarning, match="colour"):
         parse_config_text(MINIMAL + "colour = blue\n")
+    # delta_snr is always snr - snr_weak: the former per-spin option is an unknown key
+    with pytest.warns(UserWarning, match="'convention' ignored"):
+        assert parse_config_text(MINIMAL + "convention = per_spin\n") == parse_config_text(MINIMAL)
 
 
 def test_sweep_deterministic_and_thread_safe():
@@ -113,7 +123,7 @@ def test_sweep_deterministic_and_thread_safe():
 def test_csv_round_trip():
     cfg = parse_config_text(
         "schema_version = 1\nmodel = dicke\nepsilon = 0.5\ngbar = 0.9\n"
-        "grid_axis = beta_omega\ngrid_values = 0.5, 3, 8\nconvention = per_spin\n"
+        "grid_axis = beta_omega\ngrid_values = 0.5, 3, 8\n"
     )
     rows = run_sweep(cfg)
     text = emit_csv(rows)
@@ -171,6 +181,7 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("beta", ["1e308", "1e-300", "5"])
 def test_cli_snr_prints_strict_json_from_one_solve(monkeypatch, capsys, beta):
     # snr_weak underflows to 0 at both extremes: the ratio is null, not Infinity,
@@ -267,6 +278,30 @@ def test_cli_exit_codes(tmp_path, capsys):
     for flag, value in (("--N", "0"), ("--gbar", "0"), ("--epsilon", "-1")):
         assert main(point + ["5", flag, value]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error:")
+    # non-finite parameters are config errors, at a point and in a sweep
+    snr = ["snr", "--g", "0.3", "--beta-omega", "5", "--n-max", "8"]
+    for value in ("nan", "inf"):
+        for flag in ("--g", "--epsilon"):
+            assert main(snr + [flag, value]) == EXIT_CONFIG
+        for flag in ("--gbar", "--epsilon"):
+            assert main(point + ["5", flag, value]) == EXIT_CONFIG
+    assert all(ln.startswith("config error:") and "finite" in ln
+               for ln in capsys.readouterr().err.splitlines())
+    sweeps = (
+        "model = weak\nepsilon = nan\ngrid_axis = beta_omega\ngrid_values = 1, 2",
+        "model = rabi_exact\nn_max = 8\ngrid_axis = g_over_omega\ngrid_values = 0.1, nan",
+        "model = rabi_exact\nn_max = 8\nepsilon = inf\ngrid_axis = beta_omega\n"
+        "grid_values = 1, 2",
+        "model = dicke\ngbar = nan\ngrid_axis = beta_omega\ngrid_values = 1, 2",
+        "model = weak\nN = nan\ngrid_axis = beta_omega\ngrid_values = 1",
+        "model = weak\nN = 2.7\ngrid_axis = beta_omega\ngrid_values = 1",
+        "model = weak\ngrid_axis = N\ngrid_values = 1.5, 2.5",
+    )
+    for body in sweeps:
+        bad.write_text("schema_version = 1\n" + body + "\n")
+        for jobs in ("1", "2"):
+            assert main(["sweep", "--config", str(bad), "--jobs", jobs]) == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_reports_a_failed_eigensolve_as_numerical(monkeypatch, capsys):
@@ -389,9 +424,26 @@ def test_dicke_sweep_solves_eta_once_per_superradiant_row(monkeypatch):
     ("N", [1, 2, 3]),
 ])
 def test_cached_rows_match_per_point_solves(axis, values):
-    # every field of the Hamiltonian must reach the key of the sweep's store
+    # each row solves its own Hamiltonian: every grid axis must reach its field
     cfg = _fixed_cutoff_config(axis, values)
     assert run_sweep(cfg, jobs=2) == [_reference_row(cfg, x) for x in values]
+
+
+def test_distinct_hamiltonians_solve_concurrently(monkeypatch):
+    # two rows of a g sweep at jobs = 2 each solve their own Hamiltonian; the
+    # barrier lets a solve through only while the other row's is in flight too
+    barrier = threading.Barrier(2, timeout=5)
+    solve = thermal.eigendecompose
+
+    def paired(A):
+        barrier.wait()
+        return solve(A)
+
+    cfg = _fixed_cutoff_config("g_over_omega", [0.2, 0.4], N=1)
+    monkeypatch.setattr(thermal, "eigendecompose", paired)
+    rows = run_sweep(cfg, jobs=2)
+    monkeypatch.undo()
+    assert rows == [_reference_row(cfg, x) for x in cfg.grid]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
