@@ -10,8 +10,9 @@ Recognized keys:
   schema_version   must be 1
   model            rabi_exact | grwa | dicke | weak
   N                spin count, a positive integer (rabi_exact/grwa/weak)
-  epsilon, g       probe splitting and coupling, units of omega
-  gbar             intensive Dicke coupling, units of omega (dicke)
+  epsilon, g       probe splitting and coupling, units of omega (g: not dicke)
+  gbar             intensive Dicke coupling, units of omega (dicke, which
+                   rejects g and the g_over_omega axis)
   grid_axis        beta_omega | g_over_omega | epsilon_over_omega | gbar_over_omega | N
   grid_values      comma list, or grid_start/grid_stop/grid_points (+ grid_scale)
   beta_omega       fixed inverse temperature when another axis is swept;
@@ -25,10 +26,12 @@ Recognized keys:
                    first cutoff in 16, 32, 64, ... that passes this test
 
 A fixed-cutoff rabi_exact sweep along beta_omega has one Hamiltonian: it is
-diagonalized once, at the cutoff, before the rows are evaluated, and every
-row's temperature and verdict are read from those spectra.  Along any other
-axis each row solves its own Hamiltonian, so under jobs > 1 the solves run
-concurrently; n_max = "auto" rows run the doubling loop per point.
+solved once, at the cutoff and the grid's least beta_omega (a block record
+made for one beta serves every larger one), before the rows are evaluated,
+and every row's temperature and verdict are read from those spectra.
+Along any other axis each row solves its own Hamiltonian, so under
+jobs > 1 the solves run concurrently; n_max = "auto" rows run the doubling
+loop per point.
 
 Output rows carry the fixed column set
 grid_value, beta_omega, snr, snr_weak, delta_snr, n_max, converged, phase, eta
@@ -94,9 +97,11 @@ class SweepConfig:
     n_max: int | str = 64
 
 
-def _spin_count(v, field):
+def _positive_int(v, field, key=None):
+    """v as an int; a ConfigError on `field` (naming `key` if given) unless v >= 1 is whole."""
     if not (v >= 1 and v.is_integer()):  # false for nan and inf too
-        raise ConfigError(f"must be a positive integer, got {v!r}", field=field)
+        name = f"{key} " if key else ""
+        raise ConfigError(f"{name}must be a positive integer, got {v!r}", field=field)
     return int(v)
 
 
@@ -147,14 +152,16 @@ def parse_config_text(text) -> SweepConfig:
         if not {"grid_start", "grid_stop", "grid_points"} <= kv.keys():
             raise ConfigError("need grid_values or grid_start/grid_stop/grid_points",
                               field="grid_values")
-        a, b, npts = fnum("grid_start"), fnum("grid_stop"), fnum("grid_points")
+        # grid_points, like grid_values, defines the grid: its errors carry that field
+        a, b = fnum("grid_start"), fnum("grid_stop")
+        npts = _positive_int(fnum("grid_points"), "grid_values", "grid_points")
         scale = kv.get("grid_scale", "linear")
         spacing = {"linear": np.linspace, "log": np.geomspace}.get(scale)
         if spacing is None:
             raise ConfigError(f"must be linear|log, got {scale!r}", field="grid_scale")
         try:
-            grid = tuple(float(v) for v in spacing(a, b, int(npts)))
-        except (ValueError, OverflowError) as exc:  # grid_points < 0 or inf; a log scale through 0
+            grid = tuple(float(v) for v in spacing(a, b, npts))
+        except ValueError as exc:  # a log scale through 0
             raise ConfigError(str(exc), field="grid_values") from exc
     if not grid:
         raise ConfigError("grid is empty", field="grid_values")
@@ -162,12 +169,15 @@ def parse_config_text(text) -> SweepConfig:
         raise ConfigError("beta_omega values must be finite and > 0", field="grid_values")
     if axis == "N":
         for v in grid:
-            _spin_count(v, "grid_values")
+            _positive_int(v, "grid_values")
 
     if choice["model"] == "dicke":
-        if "g" in kv and "N" not in kv:
-            raise ConfigError("dicke model takes gbar (intensive); "
-                              "a per-spin g requires N", field="g")
+        # the Dicke limit reads only the intensive gbar; a g would be silently ignored
+        if "g" in kv:
+            raise ConfigError("the dicke model takes the intensive gbar, not g", field="g")
+        if axis == "g_over_omega":
+            raise ConfigError("the dicke model sweeps gbar_over_omega, not g_over_omega",
+                              field="grid_axis")
         if "gbar" not in kv and axis != "gbar_over_omega":
             raise ConfigError("required for the dicke model", field="gbar")
 
@@ -183,7 +193,7 @@ def parse_config_text(text) -> SweepConfig:
 
     nums = {key: fnum(key) for key in _AXES.values() if key in kv}
     if "N" in nums:
-        nums["N"] = _spin_count(nums["N"], "N")
+        nums["N"] = _positive_int(nums["N"], "N")
     cfg = SweepConfig(grid=grid, n_max=n_max, **choice, **nums)
     if not 0 < cfg.beta_omega < np.inf:
         raise ConfigError(f"must be finite and > 0, got {cfg.beta_omega}", field="beta_omega")
@@ -226,7 +236,7 @@ def _row(cfg: SweepConfig, x, spectra=None):
                 n_used, snr = converge_nmax(p, beta, noise=cfg.noise, sector=cfg.sector)
             else:  # rabi_exact at a fixed cutoff, judged by its top level's population
                 n_used = cfg.n_max
-                obs = _combine(spectra or _sector_data(p, n_used, cfg.sector), beta)
+                obs = _combine(spectra or _sector_data(p, n_used, cfg.sector, beta), beta)
                 snr = _snr(p, obs, cfg.noise)
                 converged = cutoff_converged(obs.p_top)
             sw = weak_snr(p.N, p.epsilon, beta).snr
@@ -246,9 +256,11 @@ def run_sweep(cfg: SweepConfig, jobs=1):
     xs = sorted(cfg.grid)
     spectra = None
     if cfg.model == "rabi_exact" and cfg.n_max != "auto" and cfg.grid_axis == "beta_omega":
-        # a fixed-cutoff beta sweep: one Hamiltonian for every row
+        # a fixed-cutoff beta sweep: one Hamiltonian for every row, solved for the
+        # least beta, so that it serves every row
         try:
-            spectra = _sector_data(_point_params(cfg, xs[0])[0], cfg.n_max, cfg.sector)
+            p, beta = _point_params(cfg, xs[0])
+            spectra = _sector_data(p, cfg.n_max, cfg.sector, beta)
         except RcprobeError:
             pass  # each row repeats the solve and fails on its own
     if jobs > 1:

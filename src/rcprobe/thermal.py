@@ -3,10 +3,24 @@
 The 2^N product space is decomposed into total-spin sectors J with known
 multiplicities.  The parity (-1)^{(m+J)+n} commutes with H and with Jz, so
 each sector Hamiltonian, (2J+1)(n_max+1)-dimensional, splits into two
-parity blocks of half its size; each block is diagonalized densely, and
-partition sums are combined across blocks with the sector multiplicities.
-All Boltzmann factors are taken relative to the global ground energy so
-that beta*omega ~ 10^3 neither under- nor overflows.
+parity blocks of half its size, and partition sums are combined across
+blocks with the sector multiplicities.  All Boltzmann factors are taken
+relative to the global ground energy so that beta*omega ~ 10^3 neither
+under- nor overflows.
+
+Each block's record is made for the least beta it must serve, and one rule
+picks its solver.  A block of d >= D_WINDOW = 256 rows, at a finite beta > 0,
+is
+  skipped   when its Gershgorin lower bound lb gives
+            mult*d*e^{-beta (lb - e0)} < CUT = 1e-16, e0 the least energy
+            found so far (sectors run from J = N/2 down);
+  windowed  when its lowest |W| <= d/20 states leave out less than that,
+            mult*(d - |W|)*e^{-beta (E_cut - e0)} < CUT with the cut in a gap
+            of at least NEAR*omega: only W is solved, from the block's band
+            in Fock-slow order (bandwidth <= 2J + 2; see _window);
+  dense     otherwise.  Every block below D_WINDOW is solved densely.
+So a record drops only states whose Gibbs weight, relative to the ground
+state's, is below CUT at its beta and at every larger one.
 
 Two noise channels are provided for the SNR denominator:
 
@@ -40,6 +54,7 @@ the N >= 2 SNR grows as 1/T with the susceptibility denominator.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvals_banded, get_lapack_funcs
 
 from . import operators
 from .baseline import weak_snr
@@ -53,6 +68,9 @@ NMAX_START, NMAX_CAP = 16, 4096
 # a cutoff is accepted when the fitted truncation estimate TOP_C * p_top < REL_TOL
 TOP_C, REL_TOL = 300.0, 1e-6
 NEAR = 1e-2  # Kubo pairs closer than NEAR*omega are summed directly at each beta
+# parity blocks of at least D_WINDOW rows may be skipped or solved by window;
+# either drops only states of Gibbs weight below CUT relative to the ground state's
+D_WINDOW, CUT = 256, 1e-16
 
 
 @dataclass(frozen=True)
@@ -78,6 +96,7 @@ class SnrPoint:
     snr: float
     snr_weak: float
     p_top: float = 0.0  # as ThermalObservables.p_top, from the same solve
+    solver: dict | None = None  # how the solve was split: see _solver
 
 
 def cutoff_converged(p_top):
@@ -104,49 +123,196 @@ def _phi(x):
     return np.where(small, 1.0 - 0.5 * x, -np.expm1(-xs) / xs)
 
 
-def _parity_blocks(p: ProbeParams, n_max, sector="full"):
-    """(J, mult, rows, E, V) per parity block of each total-spin sector.
+def _sectors(p: ProbeParams, sector):
+    """(J, mult) of the total-spin sectors taken: all, or J = N/2 only for "maximal"."""
+    sectors = sector_multiplicities(p.N).sectors
+    return sectors if sector == "full" else sectors[:1]
+
+
+def _blocks(p: ProbeParams, n_max, sector):
+    """(J, mult, H, rows) per parity block: H the sector Hamiltonian, rows the block's rows in it.
 
     No element of H or Jz couples rows of unequal (m+J)+n parity, so each
-    sector is solved as two blocks: `rows` are a block's rows in the sector
-    basis (even, then odd), E and V its spectrum.  sector="maximal" keeps
-    J = N/2 only.
+    sector is solved as two blocks, even rows then odd.
     """
-    dec = sector_multiplicities(p.N)
     nb = n_max + 1
-    for J, mult in dec.sectors if sector == "full" else dec.sectors[:1]:
+    for J, mult in _sectors(p, sector):
         H = build_mapped_hamiltonian(p, J, n_max).entries
         i = np.arange(H.shape[0])
         parity = (i // nb + i % nb) % 2
         for k in (0, 1):
-            rows = np.flatnonzero(parity == k)
-            yield (J, mult, rows, *eigendecompose(H[np.ix_(rows, rows)]))
+            yield J, mult, H, np.flatnonzero(parity == k)
 
 
-def _sector_data(p: ProbeParams, n_max, sector="full"):
-    """Beta-independent record per parity block: (mult, E, diag M, M2 row sums, R, t, near).
+def _parity_blocks(p: ProbeParams, n_max, sector="full"):
+    """(J, mult, rows, E, V) per parity block of each total-spin sector, solved densely.
+
+    `rows` are a block's rows in the sector basis, E and V its spectrum.
+    """
+    for J, mult, H, rows in _blocks(p, n_max, sector):
+        yield (J, mult, rows, *eigendecompose(H[np.ix_(rows, rows)]))
+
+
+def _pairs(E, V, jz, omega):
+    """(diag M, M2, R, near) over the eigenvectors V (columns, energies E) of one block.
+
+    M = V^T Jz V with jz the diagonal of Jz, M2 its off-diagonal squares,
+    R_i = sum_j M2_ij / (E_j - E_i) over the pairs that are not near, and
+    near = (i, E_j - E_i, M2_ij) for the pairs i < j closer than NEAR*omega.
+    """
+    M = V.T @ (jz[:, None] * V)
+    d1 = np.diag(M).copy()
+    np.fill_diagonal(M, 0.0)
+    M *= M
+    # E ascends, so the near partners of row i are the `after[i]` rows right after it
+    after = np.searchsorted(E, E + NEAR * omega) - np.arange(1, len(E) + 1)
+    i = np.repeat(np.arange(len(E)), after)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(after) - after, after)
+    gap = E - E[:, None]
+    gap[i, j] = gap[j, i] = np.inf
+    np.fill_diagonal(gap, np.inf)
+    return d1, M, (M / gap).sum(axis=1), (i, E[j] - E[i], M[i, j])
+
+
+def _band(H, rows, J, n_max):
+    """(ab, order): the block H[rows, rows] in Fock-slow order, in LAPACK lower band storage.
+
+    order lists the block's sector rows by n*(2J+1) + m + J, and
+    ab[q, k] = H[order[k + q], order[k]].  Every coupling moves m and n by
+    one each, so it spans at most 2J + 2 rows in that order; zero trailing
+    diagonals are dropped.
+    """
+    nb, ds = n_max + 1, int(round(2 * J)) + 1
+    order = rows[np.argsort(rows % nb * ds + rows // nb)]
+    d = len(order)
+    ab = np.zeros((min(ds + 2, d), d))
+    for q in range(len(ab)):
+        ab[q, : d - q] = H[order[q:], order[: d - q]]
+    b = len(ab) - 1
+    while b and not ab[b].any():
+        b -= 1
+    return ab[: b + 1], order
+
+
+def _lower_bound(ab):
+    """Gershgorin lower bound on the spectrum of a banded symmetric matrix."""
+    d = ab.shape[1]
+    radius = np.zeros(d)
+    for q in range(1, len(ab)):
+        a = np.abs(ab[q, : d - q])
+        radius[: d - q] += a
+        radius[q:] += a
+    return np.min(ab[0] - radius)
+
+
+def _window(ab, jz, top, mult, beta, e0, lb, omega):
+    """Record of a banded block from its populated states W alone, or None.
+
+    W is the least number of lowest states, at most d/20, whose cut leaves
+    mult*(d - |W|)*e^{-beta (E_cut - e0)} < CUT, with E_cut at least NEAR*omega
+    above W's top so that no near pair straddles it; None where no such W
+    exists.  e0 may exceed the ground energy, which only widens W; lb is a
+    lower bound on the block's spectrum.  The eigenvalues come from one
+    banded solve, each vector from two steps of inverse iteration
+    (orthogonalized against the vectors below it), and each R_i adds to its
+    in-window sum the out-of-window part <u|Q (H - E_i)^{-1} Q|u>, u = Jz v_i
+    and Q the projection off W, from the same banded factorization.
+    """
+    d, most = ab.shape[1], ab.shape[1] // 20
+    with np.errstate(over="ignore"):  # beta (E - e0) beyond the float range: weight 0
+        # Cauchy interlacing: eigenvalue `most` of a leading principal block bounds
+        # the block's own from above, so where even that bound keeps weight, |W| > most
+        bound = eigvals_banded(ab[:, : 4 * most + 4], lower=True, select="i",
+                               select_range=(most, most), check_finite=False)[0]
+        if beta * (bound - min(e0, lb)) <= np.log(mult * (d - most) / CUT):
+            return None
+        E = eigvals_banded(ab, lower=True, select="i", select_range=(0, most),
+                           check_finite=False)
+        e0 = min(e0, E[0])
+        kept = np.arange(1, most + 1)
+        cut = ((beta * (E[1:] - e0) > np.log(mult * (d - kept) / CUT))
+               & (E[1:] >= E[:-1] + NEAR * omega))
+    if not cut.any():
+        return None
+    E = E[: np.argmax(cut) + 1]
+    # the full band with room for the LU fill-in, as gbtrf takes it
+    b = len(ab) - 1
+    full = np.zeros((3 * b + 1, d))
+    for q in range(b + 1):
+        full[2 * b - q, q:] = full[2 * b + q, : d - q] = ab[q, : d - q]
+    # each factorization is shifted delta below its eigenvalue so that it stays regular
+    delta = 4 * np.spacing(np.abs(ab[0]).max() + omega)
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    start = np.random.default_rng(0).standard_normal((d, len(E)))  # fixed: same bits every run
+    V = np.empty((d, len(E)))
+    factors = []
+    for k, e in enumerate(E):
+        shifted = full.copy()
+        shifted[2 * b] -= e - delta
+        lu, piv, info = gbtrf(shifted, b, b, overwrite_ab=True)
+        if info:
+            return None
+        x = start[:, k]
+        for _ in range(2):
+            x = gbtrs(lu, b, b, x, piv)[0]
+            x -= V[:, :k] @ (V[:, :k].T @ x)
+            x /= np.linalg.norm(x)
+        V[:, k] = x
+        factors.append((lu, piv))
+    U = jz[:, None] * V
+    U -= V @ (V.T @ U)  # Q Jz v_i
+    R = np.empty(len(E))
+    for k, (lu, piv) in enumerate(factors):
+        x = gbtrs(lu, b, b, U[:, k], piv)[0]
+        x -= V @ (V.T @ x)
+        # <u|x> is the resolvent at E_k - delta; delta <x|x> restores it to first order
+        R[k] = U[:, k] @ x + delta * (x @ x)
+    d1, _, R_in, near = _pairs(E, V, jz, omega)
+    # sum_{j != i} M_ij^2 = ||(Jz - M_ii) v_i||^2, a sum of non-negative terms
+    r = (np.square(jz[:, None] - d1) * np.square(V)).sum(axis=0)
+    return mult, E, d1, r, R_in + R, np.square(V[top]).sum(axis=0), d, near
+
+
+def _sector_data(p: ProbeParams, n_max, sector="full", beta=0.0):
+    """Record per parity block, valid at every inverse temperature >= beta:
+    (mult, E, diag M, M2 row sums, R, t, d, near).
 
     M = V^T Jz V, M2 its off-diagonal squares; t_k is eigenvector k's weight on
-    the top Fock level n_max; near = (i, E_j - E_i, M2_ij), pairs i < j.
+    the top Fock level n_max; d is the block's dimension; near = (i, E_j - E_i,
+    M2_ij), pairs i < j.  A block of d >= D_WINDOW rows at a finite beta > 0 is
+    skipped when its Gershgorin bound puts all its Gibbs weight below CUT,
+    else kept as its window (see _window) where that holds at most d/20
+    states; every other block is solved densely and keeps all d states.  At
+    beta = 0, the default, every block is dense: the record serves every beta.
     """
+    nb = n_max + 1
     out = []
-    for J, mult, rows, E, V in _parity_blocks(p, n_max, sector):
-        # M = V^T Jz V; Jz is diagonal with entry m = (m + J) - J, so scale rows
-        M = V.T @ ((rows // (n_max + 1) - J)[:, None] * V)
-        d1 = np.diag(M).copy()
-        np.fill_diagonal(M, 0.0)
-        M *= M
-        # E ascends, so the near partners of row i are the `after[i]` rows right after it
-        after = np.searchsorted(E, E + NEAR * p.omega) - np.arange(1, len(E) + 1)
-        i = np.repeat(np.arange(len(E)), after)
-        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(after) - after, after)
-        gap = E - E[:, None]
-        gap[i, j] = gap[j, i] = np.inf
-        np.fill_diagonal(gap, np.inf)
-        t = np.square(V[rows % (n_max + 1) == n_max]).sum(axis=0)
-        out.append((mult, E, d1, M.sum(axis=1), (M / gap).sum(axis=1), t,
-                    (i, E[j] - E[i], M[i, j])))
+    e0 = np.inf  # the least energy found so far, never below the ground energy
+    for J, mult, H, rows in _blocks(p, n_max, sector):
+        d, rec = len(rows), None
+        if d >= D_WINDOW and 0 < beta < np.inf:
+            ab, order = _band(H, rows, J, n_max)
+            lb = _lower_bound(ab)
+            with np.errstate(over="ignore"):
+                if beta * (lb - e0) > np.log(mult * d / CUT):
+                    continue
+            rec = _window(ab, order // nb - J, order % nb == n_max, mult, beta, e0, lb, p.omega)
+        if rec is None:
+            E, V = eigendecompose(H[np.ix_(rows, rows)])
+            d1, M2, R, near = _pairs(E, V, rows // nb - J, p.omega)
+            rec = (mult, E, d1, M2.sum(axis=1), R, np.square(V[rows % nb == n_max]).sum(axis=0),
+                   d, near)
+        e0 = min(e0, rec[1][0])
+        out.append(rec)
     return out
+
+
+def _solver(p: ProbeParams, sector, data):
+    """How _sector_data solved `data`: blocks dense, by window and skipped, and states kept."""
+    window = sum(len(E) < d for _, E, *_, d, _ in data)
+    return {"dense": len(data) - window, "window": window,
+            "skipped": 2 * len(_sectors(p, sector)) - len(data),
+            "states": sum(len(E) for _, E, *_ in data)}
 
 
 def _combine(data, beta):
@@ -159,7 +325,7 @@ def _combine(data, beta):
     zt = sum(w.sum() for w in ws)
     m1 = sum(w @ d1 for w, (_, _, d1, *_) in zip(ws, data)) / zt
     varp = vark = top = 0.0
-    for w, (_, _, d1, r, R, t, (i, gap, m2)) in zip(ws, data):
+    for w, (_, _, d1, r, R, t, _, (i, gap, m2)) in zip(ws, data):
         top += w @ t
         diag = w @ (d1 - m1) ** 2
         varp += diag + w @ r
@@ -174,7 +340,7 @@ def _combine(data, beta):
 
 def thermal_observables(p: ProbeParams, beta, n_max, sector="full"):
     """Partition function and Jz moments of the composite Gibbs state."""
-    return _combine(_sector_data(p, n_max, sector), beta)
+    return _combine(_sector_data(p, n_max, sector, beta), beta)
 
 
 def djz_deps(p: ProbeParams, beta, n_max, sector="full"):
@@ -201,12 +367,15 @@ def snr_exact(p: ProbeParams, beta, n_max=128, noise="auto", sector="full"):
     """Exact SNR S = |d<Jz>/d eps|^2 / noise at one parameter point.
 
     `noise` selects the variance channel (see module docstring).  Returns
-    SnrPoint(beta, snr, snr_weak, p_top); snr_weak is the closed-form g = 0
-    value, p_top the top Fock level's population.
+    SnrPoint(beta, snr, snr_weak, p_top, solver); snr_weak is the closed-form
+    g = 0 value, p_top the top Fock level's population, solver how the
+    blocks were solved (see _solver).
     """
-    obs = thermal_observables(p, beta, n_max, sector)
+    data = _sector_data(p, n_max, sector, beta)
+    obs = _combine(data, beta)
     return SnrPoint(beta=beta, snr=_snr(p, obs, noise),
-                    snr_weak=weak_snr(p.N, p.epsilon, beta).snr, p_top=obs.p_top)
+                    snr_weak=weak_snr(p.N, p.epsilon, beta).snr, p_top=obs.p_top,
+                    solver=_solver(p, sector, data))
 
 
 def converge_nmax(p: ProbeParams, beta, noise="auto", sector="full"):

@@ -87,6 +87,12 @@ def test_parse_comments_and_range():
          "grid_values = 1.5, 2.5", "grid_values"),
         ("schema_version = 1\nmodel = weak\ngrid_axis = N\n"
          "grid_values = 1, nan", "grid_values"),
+        ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\ngrid_start = 1\n"
+         "grid_stop = 5\ngrid_points = 2.5", "grid_values"),
+        ("schema_version = 1\nmodel = dicke\ngbar = 0.9\ng = 0.5\nN = 4\n"
+         "grid_axis = beta_omega\ngrid_values = 1", "g"),
+        ("schema_version = 1\nmodel = dicke\ngbar = 0.9\n"
+         "grid_axis = g_over_omega\ngrid_values = 0.1", "grid_axis"),
     ],
 )
 def test_parse_errors_carry_field(text, field):
@@ -197,6 +203,7 @@ def test_cli_snr_prints_strict_json_from_one_solve(monkeypatch, capsys, beta):
     assert main(["snr", "--g", "0.3", "--beta-omega", beta, "--n-max", "24"]) == 0
     out = _strict_json(capsys.readouterr().out)
     assert len(solves) == 2  # N = 1: one sector, two parity blocks, at n_max = 24 only
+    assert out["solver"] == {"dense": 2, "window": 0, "skipped": 0, "states": 50}
     assert (out["ratio"] is None) == (out["snr_weak"] == 0.0) == (beta != "5")
     p = ProbeParams(N=1, epsilon=1.0, omega=1.0, g=0.3)
     assert out["p_top"] == thermal.thermal_observables(p, float(beta), 24).p_top
@@ -296,6 +303,10 @@ def test_cli_exit_codes(tmp_path, capsys):
         "model = weak\nN = nan\ngrid_axis = beta_omega\ngrid_values = 1",
         "model = weak\nN = 2.7\ngrid_axis = beta_omega\ngrid_values = 1",
         "model = weak\ngrid_axis = N\ngrid_values = 1.5, 2.5",
+        "model = weak\ngrid_axis = beta_omega\ngrid_start = 1\ngrid_stop = 2\n"
+        "grid_points = 2.5",
+        "model = dicke\ngbar = 0.9\ng = 0.5\nN = 4\ngrid_axis = beta_omega\n"
+        "grid_values = 1, 2",
     )
     for body in sweeps:
         bad.write_text("schema_version = 1\n" + body + "\n")
@@ -524,3 +535,33 @@ def test_exact_figures_match_the_recorded_reference(fig):
         assert want["converged"] is not flipped
         assert (row["n_max"], row["converged"]) == (want["n_max"], True if flipped
                                                     else want["converged"])
+
+
+def test_cli_snr_reports_the_window_solve(capsys):
+    argv = ["snr", "--N", "10", "--g", "0.2", "--beta-omega", "20", "--n-max", "128"]
+    assert main(argv) == 0
+    solver = _strict_json(capsys.readouterr().out)["solver"]
+    # J = 1 and 0 are dense (4 blocks), the 8 blocks of J = 5 .. 2 windowed or skipped
+    assert solver["dense"] == 4 and solver["window"] + solver["skipped"] == 8
+    assert solver["window"] > 0 and solver["skipped"] > 0
+    dense, most = 194 + 193 + 65 + 64, sum(d // 20 for d in (710, 709, 581, 580, 452, 451, 323, 322))
+    assert dense < solver["states"] <= dense + most  # a window keeps at most d/20 states
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("beta_omega", [10, 20, 40]),
+    ("g_over_omega", [0.1, 0.2]),
+])
+def test_window_rows_are_bitwise_equal_under_jobs(axis, values):
+    cfg = parse_config_text(
+        "schema_version = 1\nmodel = rabi_exact\nN = 10\nepsilon = 1.0\ng = 0.2\n"
+        f"beta_omega = 20\ngrid_axis = {axis}\n"
+        f"grid_values = {', '.join(map(str, values))}\nn_max = 128\n"
+    )
+    rows = run_sweep(cfg, jobs=2)
+    assert rows == run_sweep(cfg, jobs=1)
+    # a beta sweep reads every row from one record made for its least beta
+    for row in rows:
+        ref = _reference_row(cfg, row["grid_value"])
+        assert row["snr"] == pytest.approx(ref["snr"], rel=1e-10)
+        assert row["converged"] is True and ref["converged"]

@@ -410,3 +410,86 @@ def test_nonfinite_or_nonpositive_beta_rejected(beta):
     p = ProbeParams(N=2, epsilon=1.0, omega=1.0, g=0.3)
     with pytest.raises(NumericalDomainError, match="beta must be positive and finite"):
         thermal_observables(p, beta, 8)
+
+
+def _seeded_window_points(count, seed=2026):
+    rng = np.random.default_rng(seed)
+    return [(int(rng.integers(9, 11)), float(rng.uniform(0.6, 1.4)), float(rng.uniform(0.05, 0.6)),
+             float(rng.uniform(15.0, 40.0)), 64) for _ in range(count)]
+
+
+# Window points: (N, eps, g, beta*omega, n_max).  The large point skips three
+# blocks; g = 0.002 and 0.001 at eps = omega keep near pairs (< NEAR*omega)
+# inside a window; g = 0.9 at n_max = 46 has a dense p_top of ~8e-8; N = 9 has
+# half-integer J.  Then four seeded points.
+WINDOW_POINTS = [
+    (10, 1.0, 0.2, 20.0, 128),
+    (10, 1.0, 0.002, 20.0, 64),
+    (10, 1.0, 0.001, 30.0, 64),
+    (10, 1.0, 0.9, 20.0, 46),
+    (9, 1.0, 0.3, 20.0, 64),
+    *_seeded_window_points(4),
+]
+
+
+@pytest.mark.parametrize("N, eps, g, beta, n_max", WINDOW_POINTS)
+def test_window_records_match_dense(N, eps, g, beta, n_max):
+    p = ProbeParams(N=N, epsilon=eps, omega=1.0, g=g)
+    window = _sector_data(p, n_max, beta=beta)
+    dense = _sector_data(p, n_max)  # beta = 0: every block dense, valid at every beta
+    assert thermal._solver(p, "full", window)["window"] > 0
+    assert thermal._solver(p, "full", dense) == {
+        "dense": len(dense), "window": 0, "skipped": 0, "states": sum(d for *_, d, _ in dense)}
+    got, ref = _combine(window, beta), _combine(dense, beta)
+    for name in ("lnZ", "mean_Jz", "var_Jz", "var_Jz_kubo"):
+        assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-10), name
+    assert _snr(p, got, "auto") == pytest.approx(_snr(p, ref, "auto"), rel=1e-10)
+    if ref.p_top >= 1e-12:
+        assert got.p_top == pytest.approx(ref.p_top, rel=1e-8)
+    else:  # it reads the window vectors' rounding, ~1e-29 per entry at the top level
+        assert abs(got.p_top - ref.p_top) <= 1e-20
+    # a record made for beta serves every larger beta
+    for colder in (2 * beta, 10 * beta):
+        assert _combine(window, colder).var_Jz_kubo == pytest.approx(
+            _combine(dense, colder).var_Jz_kubo, rel=1e-10)
+
+
+def test_window_cases_cover_near_pairs_and_skipped_blocks():
+    near = skipped = 0
+    for N, eps, g, beta, n_max in WINDOW_POINTS:
+        p = ProbeParams(N=N, epsilon=eps, omega=1.0, g=g)
+        data = _sector_data(p, n_max, beta=beta)
+        near += sum(len(nr[0]) for _, E, *_, d, nr in data if len(E) < d)
+        skipped += thermal._solver(p, "full", data)["skipped"]
+    assert near > 0 and skipped > 0
+
+
+def test_window_slope_is_minus_beta_var_kubo():
+    # d<Jz>/d eps = -beta Var_Kubo on a window point, by central differences
+    h, beta = 1e-5, 20.0
+    p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.3)
+    up = thermal_observables(p.replace_epsilon(1.0 + h), beta, 64).mean_Jz
+    dn = thermal_observables(p.replace_epsilon(1.0 - h), beta, 64).mean_Jz
+    assert thermal._solver(p, "full", _sector_data(p, 64, beta=beta))["window"] > 0
+    assert (up - dn) / (2 * h) == pytest.approx(djz_deps(p, beta, 64), rel=1e-6)
+
+
+def test_large_point_solves_only_small_blocks_densely(monkeypatch):
+    # a silent fallback to the dense solve at the large point would show in the eigh count
+    dims = []
+    eigh = np.linalg.eigh
+
+    def counted(A):
+        dims.append(A.shape[0])
+        return eigh(A)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.2)
+    got = snr_exact(p, 20.0, n_max=128)
+    assert sorted(dims) == [64, 65, 193, 194]
+    assert max(dims) < thermal.D_WINDOW
+    monkeypatch.undo()
+    # J = 1, 0 dense; the 8 blocks of J = 5 .. 2 (d >= D_WINDOW) windowed or skipped
+    assert (got.solver["dense"], got.solver["window"] + got.solver["skipped"]) == (4, 8)
+    ref = _snr(p, _combine(_sector_data(p, 128), 20.0), "auto")
+    assert got.snr == pytest.approx(ref, rel=1e-12)
