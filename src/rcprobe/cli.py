@@ -142,6 +142,8 @@ def _cmd_dicke(args):
 
 
 def _cmd_map_spectral(args):
+    if args.grid_points < 1:
+        raise ParameterError(f"--grid-points must be >= 1, got {args.grid_points}")
     grid = np.linspace(0.1, 3.0, args.grid_points)
     report = []
     for ratio in args.cutoff_ratios:

@@ -19,7 +19,8 @@ W1(0) is the static frequency renormalization cancelled by the quadratic
 counterterm of the mapped Hamiltonian; without it the finite-cutoff real
 part (2 gamma omega_c / pi) would shift the resonance by an amount that
 grows with the cutoff.  `verify_equivalence` checks the relation
-numerically instead of assuming it.
+numerically instead of assuming it; both transforms, W and W - W(0), are
+one integrator, `_transform`, with two kernels.
 """
 
 import math
@@ -98,107 +99,69 @@ def _quad_decades(f, a, b, tol):
     Wide smooth ranges (cutoff tails spanning many decades) defeat a single
     adaptive call's subdivision budget; per-decade panels do not.
     """
-    edges = np.geomspace(a, b, max(2, int(math.log10(b / a)) + 2))
+    n = max(1, int(math.log10(b / a)) + 1)
+    edges = [a * (b / a) ** (k / n) for k in range(n)] + [b]
     return sum(_quad_checked(f, lo, hi, tol) for lo, hi in zip(edges[:-1], edges[1:]))
 
 
-def cauchy_transform(J, z, quadrature_tol=1e-10, upper=None):
-    """W(z) = (2/pi) * int_0^inf J(w) w / (w^2 - z^2) dw for complex z.
+def _transform(J, z, f, tol, upper):
+    """(2/pi) * int_0^inf f(J, w, z) / (w^2 - z^2) dw, f(J, w, s) being J(w) times a kernel.
 
-    J is assumed odd-extended (J(-w) = -J(w)).  For z = x + i*delta with
-    delta tiny relative to x the integral is evaluated in the delta -> 0+
-    limit: a Cauchy principal value for the real part (via the dedicated
-    singular-weight rule) plus the exact boundary value Im W = J(x); the
-    error of this limit is O(delta).  Away from that regime a direct
-    adaptive quadrature is used.  z = 0 is allowed (the integrand J(w)/w
-    is regular there for Ohmic-like densities).
+    Near the positive real axis (|Im z| <= 1e-4 Re z) this is the delta -> 0+
+    limit, with an O(delta) error: a principal value by the Cauchy-weight rule
+    on [0, 2x], per-decade panels up to 10 * upper, and Im = J(x) exactly.
+    Elsewhere, z = 0 included, both parts are direct adaptive quadratures.
     """
     z = complex(z)
     x, d = z.real, z.imag
     if upper is None:
         upper = 50.0 * max(abs(x), 1.0)
-    tol = quadrature_tol
-
-    if z == 0:
-        val = _quad_checked(lambda w: J(w) / w, 0.0, upper, tol)
-        val += _quad_checked(lambda w: J(w) / w, upper, 10.0 * upper, tol)
-        return complex((2.0 / math.pi) * val)
-
     if x > 0 and abs(d) <= 1e-4 * x:
-        # delta -> 0+ limit: PV real part + exact imaginary part J(x)
-        cut = 2.0 * x
-        pv = _quad_checked(lambda w: J(w) * w / (w + x), 0.0, cut, tol,
+        pv = _quad_checked(lambda w: f(J, w, x) / (w + x), 0.0, 2.0 * x, tol,
                            weight="cauchy", wvar=x)
-        reg = _quad_checked(lambda w: J(w) * w / (w * w - x * x), cut, upper, tol)
-        reg += _quad_checked(lambda w: J(w) * w / (w * w - x * x),
-                             upper, 10.0 * upper, tol)
-        re = (2.0 / math.pi) * (pv + reg)
-        return complex(re, math.copysign(1.0, d) * J(x))
-
-    if d == 0:
-        raise QuadratureError(
-            "z on the real axis: use a finite imaginary shift or |Im z| << Re z"
-        )
-
+        reg = _quad_decades(lambda w: f(J, w, x) / (w * w - x * x), 2.0 * x, 10.0 * upper, tol)
+        return complex((2.0 / math.pi) * (pv + reg), math.copysign(1.0, d) * J(x))
+    if d == 0 and x != 0:
+        raise QuadratureError("z on the real axis: use a finite imaginary shift or |Im z| << Re z")
     z2 = z * z
 
     def fre(w):
-        den = w * w - z2
-        return (J(w) * w * den.real) / (abs(den) ** 2)
+        return (f(J, w, z) / (w * w - z2)).real
 
     def fim(w):
-        den = w * w - z2
-        return -(J(w) * w * den.imag) / (abs(den) ** 2)
+        return (f(J, w, z) / (w * w - z2)).imag
 
     re = _quad_checked(fre, 0.0, upper, tol) + _quad_checked(fre, upper, 10.0 * upper, tol)
     im = _quad_checked(fim, 0.0, upper, tol) + _quad_checked(fim, upper, 10.0 * upper, tol)
     return (2.0 / math.pi) * complex(re, im)
+
+
+def _kernel_w(J, w, s):
+    return J(w) * w
+
+
+def _kernel_z2_over_w(J, w, s):
+    if w == 0.0:
+        w = 1e-300  # J(w)/w has a finite limit; dodge the 0/0
+    return J(w) * s * s / w
+
+
+def cauchy_transform(J, z, quadrature_tol=1e-10, upper=None):
+    """W(z) = (2/pi) * int_0^inf J(w) w / (w^2 - z^2) dw for complex z (see _transform).
+
+    J is assumed odd-extended (J(-w) = -J(w)).  z = 0 is allowed: the
+    integrand J(w)/w is regular there for Ohmic-like densities.
+    """
+    return _transform(J, z, _kernel_w, quadrature_tol, upper)
 
 
 def cauchy_transform_subtracted(J, z, quadrature_tol=1e-10, upper=None):
     """W(z) - W(0) = (2/pi) * int_0^inf J(w) z^2 / (w (w^2 - z^2)) dw.
 
-    Computing the difference under one integral sign avoids the catastrophic
-    cancellation of two individually cutoff-sized real parts; the subtracted
-    integrand also decays one power faster, so the result is insensitive to
-    the tail.  Same near-real-axis PV treatment as cauchy_transform.
+    One integral sign avoids the catastrophic cancellation of two cutoff-sized
+    real parts, and its integrand decays one power faster, so the tail matters less.
     """
-    z = complex(z)
-    x, d = z.real, z.imag
-    if upper is None:
-        upper = 50.0 * max(abs(x), 1.0)
-    tol = quadrature_tol
-    if z == 0:
-        return 0.0 + 0.0j
-    if x > 0 and abs(d) <= 1e-4 * x:
-        cut = 2.0 * x
-
-        def h(w):
-            if w == 0.0:
-                w = 1e-300  # J(w)/w has a finite limit; dodge the 0/0
-            return J(w) * x * x / (w * (w + x))
-
-        pv = _quad_checked(h, 0.0, cut, tol, weight="cauchy", wvar=x)
-        reg = _quad_decades(lambda w: J(w) * x * x / (w * (w * w - x * x)),
-                            cut, 10.0 * upper, tol)
-        return complex((2.0 / math.pi) * (pv + reg), math.copysign(1.0, d) * J(x))
-    if d == 0:
-        raise QuadratureError(
-            "z on the real axis: use a finite imaginary shift or |Im z| << Re z"
-        )
-    z2 = z * z
-
-    def fre(w):
-        val = z2 / (w * (w * w - z2))
-        return J(w) * val.real
-
-    def fim(w):
-        val = z2 / (w * (w * w - z2))
-        return J(w) * val.imag
-
-    re = _quad_checked(fre, 0.0, upper, tol) + _quad_checked(fre, upper, 10.0 * upper, tol)
-    im = _quad_checked(fim, 0.0, upper, tol) + _quad_checked(fim, upper, 10.0 * upper, tol)
-    return (2.0 / math.pi) * complex(re, im)
+    return _transform(J, z, _kernel_z2_over_w, quadrature_tol, upper)
 
 
 def verify_equivalence(res: OhmicResidual, omega0, g, grid, delta=None, quadrature_tol=1e-10):
@@ -210,6 +173,8 @@ def verify_equivalence(res: OhmicResidual, omega0, g, grid, delta=None, quadratu
     by quadrature.  Returns the max relative difference (absolute when both
     sides vanish, e.g. g -> 0).
     """
+    if len(grid) == 0:
+        raise ParameterError("the frequency grid is empty")
     if delta is None:
         delta = 1e-6 * omega0
     lor = map_residual_to_original(res, omega0, g)

@@ -14,7 +14,8 @@ Recognized keys:
   gbar             intensive Dicke coupling, units of omega (dicke, which
                    rejects g and the g_over_omega axis)
   grid_axis        beta_omega | g_over_omega | epsilon_over_omega | gbar_over_omega | N
-  grid_values      comma list, or grid_start/grid_stop/grid_points (+ grid_scale)
+  grid_values      comma list, or grid_start/grid_stop/grid_points (+ grid_scale),
+                   grid_points at most MAX_GRID_POINTS
   beta_omega       fixed inverse temperature when another axis is swept;
                    it and every beta_omega grid value must be finite, > 0
   sector           full | maximal
@@ -49,7 +50,7 @@ import numpy as np
 
 from .baseline import weak_snr
 from .dicke import DickeParams, dicke_solution
-from .errors import ConfigError, NumericalDomainError, RcprobeError
+from .errors import ConfigError, NumericalDomainError, ParameterError, RcprobeError
 from .grwa import asymptotic_snr, ground_energy_derivs
 from .operators import ProbeParams
 from .thermal import _combine, _sector_data, _snr, converge_nmax, cutoff_converged
@@ -65,6 +66,10 @@ COLUMNS = (
     "phase",
     "eta",
 )
+
+# the most points a grid_start/grid_stop/grid_points grid may ask for; the shipped
+# figures use at most 120
+MAX_GRID_POINTS = 100_000
 
 # grid axis -> the SweepConfig number it sets; those numbers are also config keys
 _AXES = {"beta_omega": "beta_omega", "g_over_omega": "g", "epsilon_over_omega": "epsilon",
@@ -155,6 +160,9 @@ def parse_config_text(text) -> SweepConfig:
         # grid_points, like grid_values, defines the grid: its errors carry that field
         a, b = fnum("grid_start"), fnum("grid_stop")
         npts = _positive_int(fnum("grid_points"), "grid_values", "grid_points")
+        if npts > MAX_GRID_POINTS:
+            raise ConfigError(f"grid_points must be <= {MAX_GRID_POINTS}, got {npts}",
+                              field="grid_values")
         scale = kv.get("grid_scale", "linear")
         spacing = {"linear": np.linspace, "log": np.geomspace}.get(scale)
         if spacing is None:
@@ -252,7 +260,9 @@ def _row(cfg: SweepConfig, x, spectra=None):
 
 
 def run_sweep(cfg: SweepConfig, jobs=1):
-    """Evaluate every grid point; rows sorted by grid value."""
+    """Evaluate every grid point on `jobs` >= 1 threads; rows sorted by grid value."""
+    if jobs < 1:
+        raise ParameterError(f"jobs must be >= 1, got {jobs}")
     xs = sorted(cfg.grid)
     spectra = None
     if cfg.model == "rabi_exact" and cfg.n_max != "auto" and cfg.grid_axis == "beta_omega":

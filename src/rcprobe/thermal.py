@@ -322,7 +322,10 @@ def _combine(data, beta):
     e0 = min(E[0] for _, E, *_ in data)
     with np.errstate(over="ignore"):  # beta (E - e0) beyond the float range: weight 0
         ws = [mult * np.exp(-beta * (E - e0)) for mult, E, *_ in data]
-    zt = sum(w.sum() for w in ws)
+        zt = sum(w.sum() for w in ws)
+        lnz = np.log(zt) - beta * e0
+    if not np.isfinite(lnz):
+        raise NumericalDomainError(f"beta = {beta} too large: lnZ overflows a float")
     m1 = sum(w @ d1 for w, (_, _, d1, *_) in zip(ws, data)) / zt
     varp = vark = top = 0.0
     for w, (_, _, d1, r, R, t, _, (i, gap, m2)) in zip(ws, data):
@@ -333,7 +336,7 @@ def _combine(data, beta):
         if len(i):  # most blocks have no near pair
             vark += 2 * m2 @ (w[i] * _phi(beta * gap))
     return ThermalObservables(
-        beta=beta, lnZ=np.log(zt) - beta * e0, mean_Jz=m1, mean_Jz2=varp / zt + m1 * m1,
+        beta=beta, lnZ=lnz, mean_Jz=m1, mean_Jz2=varp / zt + m1 * m1,
         var_Jz=varp / zt, var_Jz_kubo=vark / zt, p_top=top / zt,
     )
 

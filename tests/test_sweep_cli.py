@@ -13,6 +13,7 @@ from rcprobe.errors import ConfigError, NumericalDomainError
 from rcprobe.operators import ProbeParams
 from rcprobe.sweep import (
     COLUMNS,
+    MAX_GRID_POINTS,
     emit_csv,
     fit_scaling,
     parse_config_text,
@@ -99,6 +100,17 @@ def test_parse_errors_carry_field(text, field):
     with pytest.raises(ConfigError) as exc:
         parse_config_text(text)
     assert exc.value.field == field
+
+
+def test_parse_caps_grid_points_before_allocating():
+    # refused as a config error before numpy is asked for the grid (1e15: 7 PiB)
+    body = "schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\ngrid_start = 1\n"
+    body += "grid_stop = 2\ngrid_points = "
+    assert len(parse_config_text(body + str(MAX_GRID_POINTS)).grid) == MAX_GRID_POINTS
+    for points in (str(MAX_GRID_POINTS + 1), "1e15"):
+        with pytest.raises(ConfigError, match="grid_points") as exc:
+            parse_config_text(body + points)
+        assert exc.value.field == "grid_values"
 
 
 def test_parse_duplicate_key():
@@ -278,6 +290,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     # a quadrature tolerance that is not positive
     assert main(["map-spectral", "--tol", "0"]) == EXIT_CONFIG
     assert "quadrature_tol" in capsys.readouterr().err
+    # an empty or negative map-spectral grid, not a perfect residual of 0
+    for points in ("0", "-1"):
+        assert main(["map-spectral", "--grid-points", points]) == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+    # fewer than one worker thread
+    for jobs in ("0", "-3"):
+        assert main(["sweep", "--config", str(few), "--jobs", jobs]) == EXIT_CONFIG
+        assert main(["reproduce", "fig2a", "--jobs", jobs]) == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+    # a beta at which the exact lnZ overflows a float: a domain error, not a warning
+    assert main(["snr", "--N", "10", "--g", "0.2", "--beta-omega", "1e308",
+                 "--n-max", "128"]) == EXIT_DOMAIN
+    assert "lnZ overflows" in capsys.readouterr().err
     # a beta at which lnZ overflows a float: a domain error, not -Infinity
     assert main(point + ["1e308"]) == EXIT_DOMAIN
     assert "too large" in capsys.readouterr().err
@@ -307,6 +332,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         "grid_points = 2.5",
         "model = dicke\ngbar = 0.9\ng = 0.5\nN = 4\ngrid_axis = beta_omega\n"
         "grid_values = 1, 2",
+        "model = weak\ngrid_axis = beta_omega\ngrid_start = 1\ngrid_stop = 2\n"
+        "grid_points = 1e15",
     )
     for body in sweeps:
         bad.write_text("schema_version = 1\n" + body + "\n")
