@@ -10,12 +10,7 @@ import sys
 import time
 
 from rcprobe import sweep as sweepmod
-from rcprobe.cli import figure_config_text
-
-ALL_FIGURES = [
-    "fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig2f",
-    "fig3a", "fig3b", "figS0", "figS1", "figS2",
-]
+from rcprobe.cli import figure_config_text, figure_ids
 
 
 def main():
@@ -27,7 +22,7 @@ def main():
 
     out = pathlib.Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for fig in args.only or ALL_FIGURES:
+    for fig in args.only or figure_ids():
         cfg = sweepmod.parse_config_text(figure_config_text(fig))
         t0 = time.perf_counter()
         rows = sweepmod.run_sweep(cfg, jobs=args.jobs)

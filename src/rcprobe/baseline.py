@@ -35,13 +35,10 @@ def weak_snr(N, epsilon, beta):
     if beta <= 0:
         raise ParameterError(f"beta must be positive, got {beta}")
     half = 0.5 * beta * epsilon
-    t = math.tanh(half)
-    mean = -0.5 * N * t
-    # sech^2(half) without overflow
-    log_sech2 = -2.0 * _log_cosh(half)
-    var = 0.25 * N * math.exp(log_sech2)
-    log_snr = math.log(N) + 2.0 * math.log(beta) - math.log(4.0) + log_sech2
-    return WeakResult(beta=beta, mean_Jz=mean, var_Jz=var, snr=math.exp(log_snr))
+    mean = -0.5 * N * math.tanh(half)
+    var = 0.25 * N * math.exp(-2.0 * _log_cosh(half))  # sech^2(half) without overflow
+    return WeakResult(beta=beta, mean_Jz=mean, var_Jz=var,
+                      snr=math.exp(weak_log_snr(N, epsilon, beta)))
 
 
 def weak_log_snr(N, epsilon, beta):

@@ -27,7 +27,7 @@ from .dicke import DickeParams, dicke_solution, hp_excitations
 from .errors import ConfigError, ConvergenceError, ParameterError, RcprobeError
 from .operators import ProbeParams
 from .rcmap import OhmicResidual, verify_equivalence
-from .thermal import cutoff_converged, snr_exact
+from .thermal import snr_exact
 from .units import convert_units
 
 EXIT_CONFIG = 2
@@ -112,7 +112,7 @@ def _cmd_snr(args):
         "delta_snr": pt.snr - pt.snr_weak,
         # snr_weak underflows to 0 at extreme temperatures; JSON has no Infinity
         "ratio": pt.snr / pt.snr_weak if pt.snr_weak > 0 else None,
-        "n_max": args.n_max, "p_top": pt.p_top, "converged": cutoff_converged(pt.p_top),
+        "n_max": args.n_max, "p_top": pt.p_top, "converged": pt.converged,
         # parity blocks solved dense, by window or skipped, and eigenstates kept
         "solver": pt.solver,
     }, indent=2))
@@ -169,14 +169,16 @@ def _cmd_fit(args):
     return 0
 
 
+def figure_ids():
+    """The ids of the shipped figure configs, figures/<id>.cfg, sorted."""
+    return sorted(p.name[:-4] for p in (resources.files("rcprobe") / "figures").iterdir()
+                  if p.name.endswith(".cfg"))
+
+
 def figure_config_text(figure_id):
     ref = resources.files("rcprobe") / "figures" / f"{figure_id}.cfg"
     if not ref.is_file():
-        available = sorted(
-            p.name[:-4] for p in (resources.files("rcprobe") / "figures").iterdir()
-            if p.name.endswith(".cfg")
-        )
-        raise ConfigError(f"unknown figure id {figure_id!r}; available: {available}")
+        raise ConfigError(f"unknown figure id {figure_id!r}; available: {figure_ids()}")
     return ref.read_text(encoding="utf-8")
 
 

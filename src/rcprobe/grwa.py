@@ -194,8 +194,9 @@ def ground_energy_derivs(N, epsilon, omega, g) -> GroundEnergyDerivs:
         l2 = solve_lambda(eps, omega, g).lam
         return ground_entry(N, eps, omega, g, l2)
 
-    fd1 = (Eg(epsilon + h) - Eg(epsilon - h)) / (2.0 * h)
-    fd2 = (Eg(epsilon + h) - 2.0 * E + Eg(epsilon - h)) / (h * h)
+    up, dn = Eg(epsilon + h), Eg(epsilon - h)
+    fd1 = (up - dn) / (2.0 * h)
+    fd2 = (up - 2.0 * E + dn) / (h * h)
     if abs(fd1 - dE) > 1e-3 * max(abs(dE), 1e-12):
         raise ConsistencyError(f"dE/deps analytic {dE} vs FD {fd1}")
     if g > 0 and abs(fd2 - d2E) > 1e-3 * max(abs(d2E), 1e-12):

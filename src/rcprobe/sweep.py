@@ -53,7 +53,7 @@ from .dicke import DickeParams, dicke_solution
 from .errors import ConfigError, NumericalDomainError, ParameterError, RcprobeError
 from .grwa import asymptotic_snr, ground_energy_derivs
 from .operators import ProbeParams
-from .thermal import _combine, _sector_data, _snr, converge_nmax, cutoff_converged
+from .thermal import _point, _sector_data, converge_nmax
 
 COLUMNS = (
     "grid_value",
@@ -236,17 +236,17 @@ def _row(cfg: SweepConfig, x, spectra=None):
         elif cfg.model == "dicke":
             sol = dicke_solution(p, beta)
             snr, sw, phase, eta = sol.snr, sol.snr_weak, sol.phase, sol.eta
+        elif cfg.model == "rabi_exact" and cfg.n_max != "auto":
+            # a fixed cutoff, judged by its top level's population
+            n_used = cfg.n_max
+            pt = _point(p, spectra or _sector_data(p, n_used, cfg.sector, beta), beta, cfg.noise)
+            snr, sw, converged = pt.snr, pt.snr_weak, pt.converged
         else:
             if cfg.model == "grwa":
                 derivs = ground_energy_derivs(p.N, p.epsilon, 1.0, p.g)
                 snr = asymptotic_snr(p.N, derivs, beta)
-            elif cfg.n_max == "auto":  # rabi_exact; the loop accepts only a converged cutoff
+            else:  # rabi_exact, n_max = auto; the loop accepts only a converged cutoff
                 n_used, snr = converge_nmax(p, beta, noise=cfg.noise, sector=cfg.sector)
-            else:  # rabi_exact at a fixed cutoff, judged by its top level's population
-                n_used = cfg.n_max
-                obs = _combine(spectra or _sector_data(p, n_used, cfg.sector, beta), beta)
-                snr = _snr(p, obs, cfg.noise)
-                converged = cutoff_converged(obs.p_top)
             sw = weak_snr(p.N, p.epsilon, beta).snr
         delta = snr - sw
     except RcprobeError:

@@ -3,13 +3,13 @@
 The 2^N product space is decomposed into total-spin sectors J with known
 multiplicities.  The parity (-1)^{(m+J)+n} commutes with H and with Jz, so
 each sector Hamiltonian, (2J+1)(n_max+1)-dimensional, splits into two
-parity blocks of half its size, and partition sums are combined across
-blocks with the sector multiplicities.  All Boltzmann factors are taken
-relative to the global ground energy so that beta*omega ~ 10^3 neither
-under- nor overflows.
+parity blocks of half its size.  One solve keeps every block's states in
+one flat record (Spectra), which one vectorised pass reads at each beta
+(_combine).  All Boltzmann factors are taken relative to the global ground
+energy so that beta*omega ~ 10^3 neither under- nor overflows.
 
-Each block's record is made for the least beta it must serve, and one rule
-picks its solver.  A block of d >= D_WINDOW = 256 rows, at a finite beta > 0,
+A record is made for the least beta it must serve, and one rule picks each
+block's solver.  A block of d >= D_WINDOW = 256 rows, at a finite beta > 0,
 is
   skipped   when its Gershgorin lower bound lb gives
             mult*d*e^{-beta (lb - e0)} < CUT = 1e-16, e0 the least energy
@@ -36,7 +36,7 @@ Two noise channels are provided for the SNR denominator:
 
 Both are centred on <Jz>.  The Kubo pair sum equals (2/beta) sum_i w_i R_i, with
 w_i the Boltzmann weights and R_i = sum_{j != i} M_ij^2 / (E_j - E_i) (M = V^T Jz V)
-independent of beta, so each beta costs O(d) per block; pairs closer than
+independent of beta, so each beta costs O(1) per kept state; pairs closer than
 NEAR*omega, degeneracies included, keep the direct (1 - e^{-x})/x weight.
 
 The Fock cutoff is judged from the same solve: p_top, the Gibbs population
@@ -52,6 +52,7 @@ the N >= 2 SNR grows as 1/T with the susceptibility denominator.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigvals_banded, get_lapack_funcs
@@ -96,7 +97,8 @@ class SnrPoint:
     snr: float
     snr_weak: float
     p_top: float = 0.0  # as ThermalObservables.p_top, from the same solve
-    solver: dict | None = None  # how the solve was split: see _solver
+    solver: dict | None = None  # how the solve was split: see Spectra
+    converged: bool = True  # cutoff_converged(p_top); no cutoff, as for dicke points: True
 
 
 def cutoff_converged(p_top):
@@ -123,20 +125,15 @@ def _phi(x):
     return np.where(small, 1.0 - 0.5 * x, -np.expm1(-xs) / xs)
 
 
-def _sectors(p: ProbeParams, sector):
-    """(J, mult) of the total-spin sectors taken: all, or J = N/2 only for "maximal"."""
-    sectors = sector_multiplicities(p.N).sectors
-    return sectors if sector == "full" else sectors[:1]
-
-
 def _blocks(p: ProbeParams, n_max, sector):
     """(J, mult, H, rows) per parity block: H the sector Hamiltonian, rows the block's rows in it.
 
-    No element of H or Jz couples rows of unequal (m+J)+n parity, so each
+    The total-spin sectors taken are all, or J = N/2 only for "maximal".  No
+    element of H or Jz couples rows of unequal (m+J)+n parity, so each
     sector is solved as two blocks, even rows then odd.
     """
-    nb = n_max + 1
-    for J, mult in _sectors(p, sector):
+    nb, sectors = n_max + 1, sector_multiplicities(p.N).sectors
+    for J, mult in sectors if sector == "full" else sectors[:1]:
         H = build_mapped_hamiltonian(p, J, n_max).entries
         i = np.arange(H.shape[0])
         parity = (i // nb + i % nb) % 2
@@ -164,14 +161,12 @@ def _pairs(E, V, jz, omega):
     d1 = np.diag(M).copy()
     np.fill_diagonal(M, 0.0)
     M *= M
-    # E ascends, so the near partners of row i are the `after[i]` rows right after it
-    after = np.searchsorted(E, E + NEAR * omega) - np.arange(1, len(E) + 1)
-    i = np.repeat(np.arange(len(E)), after)
-    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(after) - after, after)
     gap = E - E[:, None]
+    i, j = np.nonzero(np.triu(gap < NEAR * omega, 1))
+    near = (i, gap[i, j], M[i, j])
     gap[i, j] = gap[j, i] = np.inf
     np.fill_diagonal(gap, np.inf)
-    return d1, M, (M / gap).sum(axis=1), (i, E[j] - E[i], M[i, j])
+    return d1, M, (M / gap).sum(axis=1), near
 
 
 def _band(H, rows, J, n_max):
@@ -206,7 +201,7 @@ def _lower_bound(ab):
 
 
 def _window(ab, jz, top, mult, beta, e0, lb, omega):
-    """Record of a banded block from its populated states W alone, or None.
+    """(E, d1, r, R, t, near) of a banded block from its populated states W alone, or None.
 
     W is the least number of lowest states, at most d/20, whose cut leaves
     mult*(d - |W|)*e^{-beta (E_cut - e0)} < CUT, with E_cut at least NEAR*omega
@@ -270,23 +265,34 @@ def _window(ab, jz, top, mult, beta, e0, lb, omega):
     d1, _, R_in, near = _pairs(E, V, jz, omega)
     # sum_{j != i} M_ij^2 = ||(Jz - M_ii) v_i||^2, a sum of non-negative terms
     r = (np.square(jz[:, None] - d1) * np.square(V)).sum(axis=0)
-    return mult, E, d1, r, R_in + R, np.square(V[top]).sum(axis=0), d, near
+    return E, d1, r, R_in + R, np.square(V[top]).sum(axis=0), near
 
 
-def _sector_data(p: ProbeParams, n_max, sector="full", beta=0.0):
-    """Record per parity block, valid at every inverse temperature >= beta:
-    (mult, E, diag M, M2 row sums, R, t, d, near).
+class Spectra(NamedTuple):
+    """One solve's kept eigenstates: every parity block's, in one set of flat arrays."""
 
-    M = V^T Jz V, M2 its off-diagonal squares; t_k is eigenvector k's weight on
-    the top Fock level n_max; d is the block's dimension; near = (i, E_j - E_i,
-    M2_ij), pairs i < j.  A block of d >= D_WINDOW rows at a finite beta > 0 is
-    skipped when its Gershgorin bound puts all its Gibbs weight below CUT,
-    else kept as its window (see _window) where that holds at most d/20
-    states; every other block is solved densely and keeps all d states.  At
-    beta = 0, the default, every block is dense: the record serves every beta.
+    mult: np.ndarray  # the sector multiplicity of each state
+    E: np.ndarray  # energies, ascending within each block
+    d1: np.ndarray  # diag M, M = V^T Jz V within the state's block
+    r: np.ndarray  # sum_{j != i} M_ij^2
+    R: np.ndarray  # sum_j M_ij^2 / (E_j - E_i) over the pairs j that are not near i
+    t: np.ndarray  # the eigenvector's weight on the top Fock level n_max
+    near: tuple  # (i, E_j - E_i, M_ij^2) of the pairs i < j of a block closer than NEAR*omega
+    solver: dict  # parity blocks solved dense, by window and skipped, and states kept
+
+
+def _sector_data(p: ProbeParams, n_max, sector="full", beta=0.0) -> Spectra:
+    """The Spectra of every parity block, valid at every inverse temperature >= beta.
+
+    A block of d >= D_WINDOW rows at a finite beta > 0 is skipped when its
+    Gershgorin bound puts all its Gibbs weight below CUT, else kept as its
+    window (see _window) where that holds at most d/20 states; every other
+    block is solved densely and keeps all d states.  At beta = 0, the
+    default, every block is dense: the record serves every beta.
     """
     nb = n_max + 1
-    out = []
+    recs = []
+    solver = dict.fromkeys(("dense", "window", "skipped", "states"), 0)
     e0 = np.inf  # the least energy found so far, never below the ground energy
     for J, mult, H, rows in _blocks(p, n_max, sector):
         d, rec = len(rows), None
@@ -295,49 +301,43 @@ def _sector_data(p: ProbeParams, n_max, sector="full", beta=0.0):
             lb = _lower_bound(ab)
             with np.errstate(over="ignore"):
                 if beta * (lb - e0) > np.log(mult * d / CUT):
+                    solver["skipped"] += 1
                     continue
             rec = _window(ab, order // nb - J, order % nb == n_max, mult, beta, e0, lb, p.omega)
+        solver["dense" if rec is None else "window"] += 1
         if rec is None:
             E, V = eigendecompose(H[np.ix_(rows, rows)])
             d1, M2, R, near = _pairs(E, V, rows // nb - J, p.omega)
-            rec = (mult, E, d1, M2.sum(axis=1), R, np.square(V[rows % nb == n_max]).sum(axis=0),
-                   d, near)
-        e0 = min(e0, rec[1][0])
-        out.append(rec)
-    return out
+            rec = (E, d1, M2.sum(axis=1), R, np.square(V[rows % nb == n_max]).sum(axis=0), near)
+        E, d1, r, R, t, (i, gap, m2) = rec
+        recs.append((np.full(len(E), mult), E, d1, r, R, t, i + solver["states"], gap, m2))
+        solver["states"] += len(E)
+        e0 = min(e0, E[0])
+    mult, E, d1, r, R, t, i, gap, m2 = (np.concatenate(a) for a in zip(*recs))
+    return Spectra(mult, E, d1, r, R, t, (i, gap, m2), solver)
 
 
-def _solver(p: ProbeParams, sector, data):
-    """How _sector_data solved `data`: blocks dense, by window and skipped, and states kept."""
-    window = sum(len(E) < d for _, E, *_, d, _ in data)
-    return {"dense": len(data) - window, "window": window,
-            "skipped": 2 * len(_sectors(p, sector)) - len(data),
-            "states": sum(len(E) for _, E, *_ in data)}
-
-
-def _combine(data, beta):
-    """Gibbs state at one beta from the block records, in O(d) per block."""
+def _combine(s: Spectra, beta):
+    """Gibbs state at one beta from a solve's record, in O(states)."""
     if not 0 < beta < np.inf:
         raise NumericalDomainError(f"beta must be positive and finite, got {beta}")
-    e0 = min(E[0] for _, E, *_ in data)
+    e0 = s.E.min()
     with np.errstate(over="ignore"):  # beta (E - e0) beyond the float range: weight 0
-        ws = [mult * np.exp(-beta * (E - e0)) for mult, E, *_ in data]
-        zt = sum(w.sum() for w in ws)
+        w = s.mult * np.exp(-beta * (s.E - e0))
+        zt = w.sum()
         lnz = np.log(zt) - beta * e0
     if not np.isfinite(lnz):
         raise NumericalDomainError(f"beta = {beta} too large: lnZ overflows a float")
-    m1 = sum(w @ d1 for w, (_, _, d1, *_) in zip(ws, data)) / zt
-    varp = vark = top = 0.0
-    for w, (_, _, d1, r, R, t, _, (i, gap, m2)) in zip(ws, data):
-        top += w @ t
-        diag = w @ (d1 - m1) ** 2
-        varp += diag + w @ r
-        vark += diag + (2 / beta) * (w @ R)
-        if len(i):  # most blocks have no near pair
-            vark += 2 * m2 @ (w[i] * _phi(beta * gap))
+    m1 = w @ s.d1 / zt
+    diag = w @ (s.d1 - m1) ** 2
+    varp = diag + w @ s.r
+    vark = diag + (2 / beta) * (w @ s.R)
+    i, gap, m2 = s.near
+    if len(i):
+        vark += 2 * m2 @ (w[i] * _phi(beta * gap))
     return ThermalObservables(
         beta=beta, lnZ=lnz, mean_Jz=m1, mean_Jz2=varp / zt + m1 * m1,
-        var_Jz=varp / zt, var_Jz_kubo=vark / zt, p_top=top / zt,
+        var_Jz=varp / zt, var_Jz_kubo=vark / zt, p_top=w @ s.t / zt,
     )
 
 
@@ -366,19 +366,23 @@ def _snr(p: ProbeParams, obs: ThermalObservables, noise):
     return slope * slope / var
 
 
+def _point(p: ProbeParams, spectra: Spectra, beta, noise) -> SnrPoint:
+    """SnrPoint at one beta from a solve's record, with the cutoff verdict of that solve."""
+    obs = _combine(spectra, beta)
+    return SnrPoint(beta=beta, snr=_snr(p, obs, noise),
+                    snr_weak=weak_snr(p.N, p.epsilon, beta).snr, p_top=obs.p_top,
+                    solver=spectra.solver, converged=cutoff_converged(obs.p_top))
+
+
 def snr_exact(p: ProbeParams, beta, n_max=128, noise="auto", sector="full"):
     """Exact SNR S = |d<Jz>/d eps|^2 / noise at one parameter point.
 
     `noise` selects the variance channel (see module docstring).  Returns
-    SnrPoint(beta, snr, snr_weak, p_top, solver); snr_weak is the closed-form
-    g = 0 value, p_top the top Fock level's population, solver how the
-    blocks were solved (see _solver).
+    SnrPoint(beta, snr, snr_weak, p_top, solver, converged); snr_weak is the
+    closed-form g = 0 value, p_top the top Fock level's population, solver
+    how the blocks were solved (see Spectra), converged cutoff_converged(p_top).
     """
-    data = _sector_data(p, n_max, sector, beta)
-    obs = _combine(data, beta)
-    return SnrPoint(beta=beta, snr=_snr(p, obs, noise),
-                    snr_weak=weak_snr(p.N, p.epsilon, beta).snr, p_top=obs.p_top,
-                    solver=_solver(p, sector, data))
+    return _point(p, _sector_data(p, n_max, sector, beta), beta, noise)
 
 
 def converge_nmax(p: ProbeParams, beta, noise="auto", sector="full"):

@@ -30,6 +30,13 @@ def test_reproduce_figures_writes_round_tripping_csvs(tmp_path):
         assert emit_csv(rows) == text
 
 
+def test_reproduce_figures_runs_every_packaged_config_by_default(tmp_path):
+    out = _run("reproduce_figures.py", "--out-dir", str(tmp_path))
+    packaged = {p.stem for p in (ROOT / "src" / "rcprobe" / "figures").glob("*.cfg")}
+    assert {p.stem for p in tmp_path.glob("*.csv")} == packaged
+    assert len(out.splitlines()) == len(packaged)
+
+
 def test_scaling_exponents_follow_the_papers_laws():
     out = _run("scaling_exponents.py")
     theta = {int(n): float(t) for n, t in re.findall(r"N=(\d+) .*theta = ([-+.\d]+)", out)}

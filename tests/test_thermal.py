@@ -337,29 +337,30 @@ def _direct(p, beta, n_max):
 
     The d x d reference: every ordered pair (i, j) of a block enters with
     weight e^{-beta (min(E_i, E_j) - e0)} (1 - e^{-x}) / x, x = beta |E_i - E_j|.
-    lnZ, <Jz> and Var_proj are formed with the same arithmetic as thermal.
+    lnZ, <Jz> and Var_proj are formed with the same arithmetic as thermal:
+    one dot product each over the states of every block.
     """
-    data = []
+    blocks = []
     for J, mult, rows, E, V in _parity_blocks(p, n_max):
         M = V.T @ ((rows // (n_max + 1) - J)[:, None] * V)
         d1 = np.diag(M).copy()
         np.fill_diagonal(M, 0.0)
         M *= M
-        data.append((mult, E, d1, M.sum(axis=1), M))
-    e0 = min(E[0] for _, E, _, _, _ in data)
-    ws = [mult * np.exp(-beta * (E - e0)) for mult, E, _, _, _ in data]
-    zt = sum(w.sum() for w in ws)
-    m1 = sum(w @ d1 for w, (_, _, d1, _, _) in zip(ws, data)) / zt
-    varp = vark = 0.0
-    for w, (mult, E, d1, r, M2) in zip(ws, data):
-        diag = w @ (d1 - m1) ** 2
-        varp += diag + w @ r
-        x = beta * np.abs(np.subtract.outer(E, E))
+        blocks.append((np.full(len(E), mult), E, d1, M.sum(axis=1), M))
+    mult, E, d1, r = (np.concatenate(a) for a in list(zip(*blocks))[:4])
+    e0 = E.min()
+    w = mult * np.exp(-beta * (E - e0))
+    zt = w.sum()
+    m1 = w @ d1 / zt
+    diag = w @ (d1 - m1) ** 2
+    vark = diag
+    for m, Eb, _, _, M2 in blocks:
+        x = beta * np.abs(np.subtract.outer(Eb, Eb))
         xs = np.where(x == 0, 1.0, x)
         phi = np.where(x == 0, 1.0, -np.expm1(-xs) / xs)
-        kw = np.exp(-beta * (np.minimum.outer(E, E) - e0)) * phi
-        vark += diag + mult * np.sum(M2 * kw)
-    return np.log(zt) - beta * e0, m1, varp / zt, vark / zt
+        kw = np.exp(-beta * (np.minimum.outer(Eb, Eb) - e0)) * phi
+        vark += m[0] * np.sum(M2 * kw)
+    return np.log(zt) - beta * e0, m1, (diag + w @ r) / zt, vark / zt
 
 
 @settings(max_examples=80, deadline=None)
@@ -385,7 +386,7 @@ def test_degenerate_pairs_are_summed_exactly(g):
     # exactly degenerate pairs, which the second-order sum cannot take; g = 1e-8
     # splits them by ~1e-8, where it would lose ~7 digits at beta*omega = 1e-3
     p = ProbeParams(N=3, epsilon=1.0, omega=1.0, g=g)
-    gaps = np.concatenate([near[1] for *_, near in _sector_data(p, 10)])
+    gaps = _sector_data(p, 10).near[1]
     assert gaps.size and np.all(gaps < thermal.NEAR * p.omega)
     assert np.any(gaps == 0.0) == (g == 0.0)
     for beta in (1e-3, 1.0, 1e3):
@@ -394,15 +395,10 @@ def test_degenerate_pairs_are_summed_exactly(g):
 
 
 def test_block_records_are_one_dimensional():
-    # the per-block record is O(d): no d x d array is kept across beta
-    def arrays(x):
-        if isinstance(x, tuple):
-            return [a for y in x for a in arrays(y)]
-        return [np.asarray(x)]
-
+    # the record is O(states): no d x d array is kept across beta
     p = ProbeParams(N=3, epsilon=1.0, omega=1.0, g=0.7)
-    for rec in _sector_data(p, 20):
-        assert all(a.ndim <= 1 for a in arrays(rec))
+    s = _sector_data(p, 20)
+    assert all(np.asarray(a).ndim <= 1 for a in (*s[:6], *s.near))
 
 
 @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
@@ -437,9 +433,10 @@ def test_window_records_match_dense(N, eps, g, beta, n_max):
     p = ProbeParams(N=N, epsilon=eps, omega=1.0, g=g)
     window = _sector_data(p, n_max, beta=beta)
     dense = _sector_data(p, n_max)  # beta = 0: every block dense, valid at every beta
-    assert thermal._solver(p, "full", window)["window"] > 0
-    assert thermal._solver(p, "full", dense) == {
-        "dense": len(dense), "window": 0, "skipped": 0, "states": sum(d for *_, d, _ in dense)}
+    assert window.solver["window"] > 0
+    sectors = sector_multiplicities(N).sectors
+    assert dense.solver == {"dense": 2 * len(sectors), "window": 0, "skipped": 0,
+                            "states": sum(int(2 * J + 1) for J, _ in sectors) * (n_max + 1)}
     got, ref = _combine(window, beta), _combine(dense, beta)
     for name in ("lnZ", "mean_Jz", "var_Jz", "var_Jz_kubo"):
         assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-10), name
@@ -454,14 +451,36 @@ def test_window_records_match_dense(N, eps, g, beta, n_max):
             _combine(dense, colder).var_Jz_kubo, rel=1e-10)
 
 
-def test_window_cases_cover_near_pairs_and_skipped_blocks():
-    near = skipped = 0
+def test_window_cases_cover_near_pairs_and_skipped_blocks(monkeypatch):
+    near = []  # the near pairs of every window record
+    window = thermal._window
+
+    def counted(*args):
+        rec = window(*args)
+        if rec is not None:
+            near.append(len(rec[-1][0]))
+        return rec
+
+    monkeypatch.setattr(thermal, "_window", counted)
+    skipped = 0
     for N, eps, g, beta, n_max in WINDOW_POINTS:
         p = ProbeParams(N=N, epsilon=eps, omega=1.0, g=g)
-        data = _sector_data(p, n_max, beta=beta)
-        near += sum(len(nr[0]) for _, E, *_, d, nr in data if len(E) < d)
-        skipped += thermal._solver(p, "full", data)["skipped"]
-    assert near > 0 and skipped > 0
+        skipped += _sector_data(p, n_max, beta=beta).solver["skipped"]
+    assert sum(near) > 0 and skipped > 0
+
+
+@pytest.mark.parametrize("N, eps, g, beta, n_max", _seeded_window_points(4))
+def test_solver_counts_add_up(N, eps, g, beta, n_max):
+    # every parity block is counted once, as dense, window or skipped, and
+    # `states` is the length of the record
+    p = ProbeParams(N=N, epsilon=eps, omega=1.0, g=g)
+    for b in (beta, 0.0):
+        s = _sector_data(p, n_max, beta=b)
+        c = s.solver
+        assert c["dense"] + c["window"] + c["skipped"] == 2 * len(sector_multiplicities(N).sectors)
+        assert c["states"] == len(s.E)
+        assert all(len(a) == len(s.E) for a in s[:6])
+        assert (c["window"] > 0) == (b > 0)
 
 
 def test_window_slope_is_minus_beta_var_kubo():
@@ -470,7 +489,7 @@ def test_window_slope_is_minus_beta_var_kubo():
     p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.3)
     up = thermal_observables(p.replace_epsilon(1.0 + h), beta, 64).mean_Jz
     dn = thermal_observables(p.replace_epsilon(1.0 - h), beta, 64).mean_Jz
-    assert thermal._solver(p, "full", _sector_data(p, 64, beta=beta))["window"] > 0
+    assert _sector_data(p, 64, beta=beta).solver["window"] > 0
     assert (up - dn) / (2 * h) == pytest.approx(djz_deps(p, beta, 64), rel=1e-6)
 
 
