@@ -45,7 +45,9 @@ class OhmicResidual:
             raise ParameterError("gamma and omega_c must be positive")
 
     def __call__(self, w):
-        return self.gamma * w * np.exp(-w / self.omega_c)
+        # quad calls it on one float at a time, where math.exp is ten times faster
+        exp = math.exp if isinstance(w, float) else np.exp
+        return self.gamma * w * exp(-w / self.omega_c)
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,21 @@ energy so that beta*omega ~ 10^3 neither under- nor overflows.
 A record is made for the least beta it must serve, and one rule picks each
 block's solver.  A block of d >= D_WINDOW = 256 rows, at a finite beta > 0,
 is
-  skipped   when its Gershgorin lower bound lb gives
-            mult*d*e^{-beta (lb - e0)} < CUT = 1e-16, e0 the least energy
-            found so far (sectors run from J = N/2 down);
+  skipped   when the least Gershgorin bound lb of its rows, read from
+            (p, J, n_max), gives mult*d*e^{-beta (lb - e0)} < CUT = 1e-16,
+            e0 the least energy found so far (sectors run from J = N/2
+            down); a sector whose two blocks are skipped is never built;
   windowed  when its lowest |W| <= d/20 states leave out less than that,
             mult*(d - |W|)*e^{-beta (E_cut - e0)} < CUT with the cut in a gap
-            of at least NEAR*omega: only W is solved, from the block's band
-            in Fock-slow order (bandwidth <= 2J + 2; see _window);
-  dense     otherwise.  Every block below D_WINDOW is solved densely.
+            of at least NEAR*omega: W is read from a leading block of the
+            band in Fock-slow order (bandwidth <= 2J + 2), certified by an
+            inertia count of the whole band, and only W is solved (_window);
+  dense     otherwise, a failed certificate included.  Every block below
+            D_WINDOW is solved densely.
 So a record drops only states whose Gibbs weight, relative to the ground
-state's, is below CUT at its beta and at every larger one.
+state's, is below CUT at its beta and at every larger one.  CUT bounds that
+weight, not the dropped share of Var_Kubo, which is larger where the ground
+state is nearly a Jz eigenstate: hence no skipping below D_WINDOW.
 
 Two noise channels are provided for the SNR denominator:
 
@@ -52,10 +57,13 @@ the N >= 2 SNR grows as 1/T with the susceptibility denominator.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigvals_banded, get_lapack_funcs
+from scipy.linalg import block_diag, eigvals_banded
+from scipy.linalg.blas import dsbmv as sbmv
+from scipy.linalg.lapack import dgbtrf as gbtrf, dgbtrs as gbtrs, dpbtrf as pbtrf, dpbtrs as pbtrs
 
 from . import operators
 from .baseline import weak_snr
@@ -126,7 +134,8 @@ def _phi(x):
 
 
 def _blocks(p: ProbeParams, n_max, sector):
-    """(J, mult, H, rows) per parity block: H the sector Hamiltonian, rows the block's rows in it.
+    """(J, mult, rows, H) per parity block: rows the block's rows in its sector, and H()
+    the sector Hamiltonian, built at its first call, so a sector none calls is never built.
 
     The total-spin sectors taken are all, or J = N/2 only for "maximal".  No
     element of H or Jz couples rows of unequal (m+J)+n parity, so each
@@ -134,11 +143,11 @@ def _blocks(p: ProbeParams, n_max, sector):
     """
     nb, sectors = n_max + 1, sector_multiplicities(p.N).sectors
     for J, mult in sectors if sector == "full" else sectors[:1]:
-        H = build_mapped_hamiltonian(p, J, n_max).entries
-        i = np.arange(H.shape[0])
+        H = cache(lambda J=J: build_mapped_hamiltonian(p, J, n_max).entries)
+        i = np.arange(int(round(2 * J + 1)) * nb)
         parity = (i // nb + i % nb) % 2
         for k in (0, 1):
-            yield J, mult, H, np.flatnonzero(parity == k)
+            yield J, mult, np.flatnonzero(parity == k), H
 
 
 def _parity_blocks(p: ProbeParams, n_max, sector="full"):
@@ -146,8 +155,8 @@ def _parity_blocks(p: ProbeParams, n_max, sector="full"):
 
     `rows` are a block's rows in the sector basis, E and V its spectrum.
     """
-    for J, mult, H, rows in _blocks(p, n_max, sector):
-        yield (J, mult, rows, *eigendecompose(H[np.ix_(rows, rows)]))
+    for J, mult, rows, H in _blocks(p, n_max, sector):
+        yield (J, mult, rows, *eigendecompose(H()[np.ix_(rows, rows)]))
 
 
 def _pairs(E, V, jz, omega):
@@ -189,15 +198,95 @@ def _band(H, rows, J, n_max):
     return ab[: b + 1], order
 
 
-def _lower_bound(ab):
-    """Gershgorin lower bound on the spectrum of a banded symmetric matrix."""
-    d = ab.shape[1]
-    radius = np.zeros(d)
-    for q in range(1, len(ab)):
-        a = np.abs(ab[q, : d - q])
-        radius[: d - q] += a
-        radius[q:] += a
-    return np.min(ab[0] - radius)
+def _row_bounds(p: ProbeParams, J, n_max):
+    """Each sector row's Gershgorin lower bound, from (p, J, n_max) without building H:
+    eps*m + omega*n - (g/2)(c_m + c_{m-1})(sqrt(n) + sqrt(n+1)[n < n_max]), c_J = c_{-J-1} = 0."""
+    m, c = operators._spin_ladder(J)
+    c, n = np.pad(c, 1), np.arange(n_max + 1)
+    radius = 0.5 * p.g * np.outer(c[1:] + c[:-1], np.sqrt(n) + np.sqrt(n + 1) * (n < n_max))
+    return (np.add.outer(p.epsilon * m, p.omega * n) - radius).ravel()
+
+
+def _count_below(ab, k, sigma):
+    """The number of eigenvalues below sigma of a banded block, or None.
+
+    By Haynsworth inertia it is the negative count of the Schur complement of
+    A, the block's rows from k on less sigma, where A is positive definite (None
+    where its Cholesky factorization fails).  That complement is banded too.
+    """
+    b = len(ab) - 1
+    A = ab[:, k:].copy()
+    A[0] -= sigma
+    chol, info = pbtrf(A, lower=1, overwrite_ab=1)
+    if info:
+        return None
+    C = np.zeros((A.shape[1], b))  # H[k:, k-b:k], nonzero in its first b rows
+    i, j = np.triu_indices(b)
+    C[i, j] = ab[b + i - j, k - b + j]
+    corner = C[:b].T @ pbtrs(chol, C, lower=1)[0][:b]
+    schur = ab[:, :k].copy()
+    schur[0] -= sigma
+    for q in range(b):
+        schur[q, k - b : k - q] -= np.diagonal(corner, -q)
+    return int((eigvals_banded(schur, lower=True, check_finite=False) < 0).sum())
+
+
+def _states(ab, jz, top, mu, sigma, omega):
+    """(E, d1, r, R, t, near) of the len(mu) lowest states of a banded block, or None.
+
+    mu estimates their energies, all below sigma.  Each vector comes from
+    inverse iteration on the band, orthogonalized against the vectors below
+    it, and its energy E_i from the Rayleigh quotient, re-factoring at it
+    until it settles; None where it does not within four factorizations, a
+    residual ||H v - E v|| exceeds 64 delta, or E does not ascend below sigma.
+    R_i adds to its in-window sum <u|Q (H - E_i)^{-1} Q|u>, u = Jz v_i and
+    Q the projection off the kept states, from the same factorization.
+    """
+    (b, d), w = (len(ab) - 1, ab.shape[1]), len(mu)
+    # the full band with room for the LU fill-in, as gbtrf takes it
+    full = np.zeros((3 * b + 1, d))
+    for q in range(b + 1):
+        full[2 * b - q, q:] = full[2 * b + q, : d - q] = ab[q, : d - q]
+    # each factorization is shifted below its eigenvalue so that it stays regular
+    delta = 4 * np.spacing(np.abs(ab[0]).max() + omega)
+    start = np.random.default_rng(0).standard_normal((d, w))  # fixed: same bits every run
+    E, V, factors = np.empty(w), np.empty((d, w)), []
+    for i in range(w):
+        e, x = mu[i], start[:, i]
+        for _ in range(4):
+            shifted = full.copy()
+            shifted[2 * b] -= e - delta
+            lu, piv, info = gbtrf(shifted, b, b, overwrite_ab=True)
+            if info:
+                return None
+            for _ in range(2):
+                x = gbtrs(lu, b, b, x, piv)[0]
+                x -= V[:, :i] @ (V[:, :i].T @ x)
+                x /= np.linalg.norm(x)
+            hx = sbmv(b, 1.0, ab, x, lower=1)
+            E[i], V[:, i] = x @ hx, x
+            if abs(E[i] - e) <= delta:
+                break
+            e = E[i]
+        else:
+            return None
+        if np.linalg.norm(hx - E[i] * x) > 64 * delta:
+            return None
+        factors.append((lu, piv, E[i] - e + delta))  # factorized at E_i - eta
+    if E[-1] >= sigma or np.any(np.diff(E) < -delta):
+        return None
+    U = jz[:, None] * V
+    U -= V @ (V.T @ U)  # Q Jz v_i
+    R = np.empty(w)
+    for i, (lu, piv, eta) in enumerate(factors):
+        x = gbtrs(lu, b, b, U[:, i], piv)[0]
+        x -= V @ (V.T @ x)
+        # <u|x> is the resolvent at E_i - eta; eta <x|x> restores it to first order
+        R[i] = U[:, i] @ x + eta * (x @ x)
+    d1, _, R_in, near = _pairs(E, V, jz, omega)
+    # sum_{j != i} M_ij^2 = ||(Jz - M_ii) v_i||^2, a sum of non-negative terms
+    r = (np.square(jz[:, None] - d1) * np.square(V)).sum(axis=0)
+    return E, d1, r, R_in + R, np.square(V[top]).sum(axis=0), near
 
 
 def _window(ab, jz, top, mult, beta, e0, lb, omega):
@@ -205,67 +294,30 @@ def _window(ab, jz, top, mult, beta, e0, lb, omega):
 
     W is the least number of lowest states, at most d/20, whose cut leaves
     mult*(d - |W|)*e^{-beta (E_cut - e0)} < CUT, with E_cut at least NEAR*omega
-    above W's top so that no near pair straddles it; None where no such W
-    exists.  e0 may exceed the ground energy, which only widens W; lb is a
-    lower bound on the block's spectrum.  The eigenvalues come from one
-    banded solve, each vector from two steps of inverse iteration
-    (orthogonalized against the vectors below it), and each R_i adds to its
-    in-window sum the out-of-window part <u|Q (H - E_i)^{-1} Q|u>, u = Jz v_i
-    and Q the projection off W, from the same banded factorization.
+    above W's top; None where no such W exists.  e0 may exceed the ground
+    energy, which only widens W; lb bounds the block's spectrum from below.
+    W is read from the eigenvalues mu of the leading block of 4*(d/20) + 4
+    columns, upper bounds on the block's own (Cauchy interlacing), and
+    certified by _count_below: the whole band has |W| eigenvalues below
+    sigma, the least energy the cut allows.  Where that or _states fails,
+    mu is too loose (strong coupling spreads the low states over many Fock
+    levels), and mu is taken from the whole band once instead.
     """
     d, most = ab.shape[1], ab.shape[1] // 20
-    with np.errstate(over="ignore"):  # beta (E - e0) beyond the float range: weight 0
-        # Cauchy interlacing: eigenvalue `most` of a leading principal block bounds
-        # the block's own from above, so where even that bound keeps weight, |W| > most
-        bound = eigvals_banded(ab[:, : 4 * most + 4], lower=True, select="i",
-                               select_range=(most, most), check_finite=False)[0]
-        if beta * (bound - min(e0, lb)) <= np.log(mult * (d - most) / CUT):
-            return None
-        E = eigvals_banded(ab, lower=True, select="i", select_range=(0, most),
-                           check_finite=False)
-        e0 = min(e0, E[0])
-        kept = np.arange(1, most + 1)
-        cut = ((beta * (E[1:] - e0) > np.log(mult * (d - kept) / CUT))
-               & (E[1:] >= E[:-1] + NEAR * omega))
-    if not cut.any():
-        return None
-    E = E[: np.argmax(cut) + 1]
-    # the full band with room for the LU fill-in, as gbtrf takes it
-    b = len(ab) - 1
-    full = np.zeros((3 * b + 1, d))
-    for q in range(b + 1):
-        full[2 * b - q, q:] = full[2 * b + q, : d - q] = ab[q, : d - q]
-    # each factorization is shifted delta below its eigenvalue so that it stays regular
-    delta = 4 * np.spacing(np.abs(ab[0]).max() + omega)
-    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-    start = np.random.default_rng(0).standard_normal((d, len(E)))  # fixed: same bits every run
-    V = np.empty((d, len(E)))
-    factors = []
-    for k, e in enumerate(E):
-        shifted = full.copy()
-        shifted[2 * b] -= e - delta
-        lu, piv, info = gbtrf(shifted, b, b, overwrite_ab=True)
-        if info:
-            return None
-        x = start[:, k]
-        for _ in range(2):
-            x = gbtrs(lu, b, b, x, piv)[0]
-            x -= V[:, :k] @ (V[:, :k].T @ x)
-            x /= np.linalg.norm(x)
-        V[:, k] = x
-        factors.append((lu, piv))
-    U = jz[:, None] * V
-    U -= V @ (V.T @ U)  # Q Jz v_i
-    R = np.empty(len(E))
-    for k, (lu, piv) in enumerate(factors):
-        x = gbtrs(lu, b, b, U[:, k], piv)[0]
-        x -= V @ (V.T @ x)
-        # <u|x> is the resolvent at E_k - delta; delta <x|x> restores it to first order
-        R[k] = U[:, k] @ x + delta * (x @ x)
-    d1, _, R_in, near = _pairs(E, V, jz, omega)
-    # sum_{j != i} M_ij^2 = ||(Jz - M_ii) v_i||^2, a sum of non-negative terms
-    r = (np.square(jz[:, None] - d1) * np.square(V)).sum(axis=0)
-    return E, d1, r, R_in + R, np.square(V[top]).sum(axis=0), near
+    for k in (4 * most + 4, d):
+        mu = eigvals_banded(ab[:, :k], lower=True, check_finite=False)[: most + 1]
+        # the least energy of state j = 1 .. most for a cut below it to drop less than CUT
+        floor = np.log(mult * (d - np.arange(1, most + 1)) / CUT) / beta
+        if mu[most] <= min(e0, lb) + floor[-1]:
+            return None  # even the bound on state `most` keeps weight, so |W| > most
+        floor += min(e0, mu[0])
+        cut = (mu[1:] > floor) & (mu[1:] >= mu[:-1] + NEAR * omega)
+        w = np.argmax(cut) + 1
+        sigma = max(floor[w - 1], mu[w - 1] + NEAR * omega)
+        if (cut.any() and (k == d or _count_below(ab, k, sigma) == w)
+                and (rec := _states(ab, jz, top, mu[:w], sigma, omega)) is not None):
+            return rec
+    return None
 
 
 class Spectra(NamedTuple):
@@ -284,29 +336,27 @@ class Spectra(NamedTuple):
 def _sector_data(p: ProbeParams, n_max, sector="full", beta=0.0) -> Spectra:
     """The Spectra of every parity block, valid at every inverse temperature >= beta.
 
-    A block of d >= D_WINDOW rows at a finite beta > 0 is skipped when its
-    Gershgorin bound puts all its Gibbs weight below CUT, else kept as its
-    window (see _window) where that holds at most d/20 states; every other
-    block is solved densely and keeps all d states.  At beta = 0, the
-    default, every block is dense: the record serves every beta.
+    Each block is skipped, windowed or dense by the rule of the module
+    docstring.  At beta = 0, the default, every block is dense: the record
+    serves every beta.
     """
     nb = n_max + 1
     recs = []
     solver = dict.fromkeys(("dense", "window", "skipped", "states"), 0)
     e0 = np.inf  # the least energy found so far, never below the ground energy
-    for J, mult, H, rows in _blocks(p, n_max, sector):
+    for J, mult, rows, H in _blocks(p, n_max, sector):
         d, rec = len(rows), None
         if d >= D_WINDOW and 0 < beta < np.inf:
-            ab, order = _band(H, rows, J, n_max)
-            lb = _lower_bound(ab)
+            lb = _row_bounds(p, J, n_max)[rows].min()
             with np.errstate(over="ignore"):
                 if beta * (lb - e0) > np.log(mult * d / CUT):
                     solver["skipped"] += 1
                     continue
+            ab, order = _band(H(), rows, J, n_max)
             rec = _window(ab, order // nb - J, order % nb == n_max, mult, beta, e0, lb, p.omega)
         solver["dense" if rec is None else "window"] += 1
         if rec is None:
-            E, V = eigendecompose(H[np.ix_(rows, rows)])
+            E, V = eigendecompose(H()[np.ix_(rows, rows)])
             d1, M2, R, near = _pairs(E, V, rows // nb - J, p.omega)
             rec = (E, d1, M2.sum(axis=1), R, np.square(V[rows % nb == n_max]).sum(axis=0), near)
         E, d1, r, R, t, (i, gap, m2) = rec
@@ -423,14 +473,5 @@ def reduced_probe_state(p: ProbeParams, beta, n_max, sector="full"):
         rho = np.einsum("ank,bnk,k->ab", U, U, np.exp(-beta * (E - e0)))
         blocks[J] = (mult, blocks[J][1] + rho if J in blocks else rho)
     total = sum(mult * np.trace(rho) for mult, rho in blocks.values())
-    dim = sum(mult * rho.shape[0] for mult, rho in blocks.values())
-    out = np.zeros((dim, dim))
-    labels = []
-    pos = 0
-    for J, (mult, rho) in blocks.items():
-        ds = rho.shape[0]
-        for c in range(mult):
-            out[pos : pos + ds, pos : pos + ds] = rho / total
-            labels.append((J, c))
-            pos += ds
-    return out, labels
+    labels = [(J, c) for J, (mult, _) in blocks.items() for c in range(mult)]
+    return block_diag(*(rho / total for mult, rho in blocks.values() for _ in range(mult))), labels

@@ -426,6 +426,11 @@ WINDOW_POINTS = [
     (9, 1.0, 0.3, 20.0, 64),
     *_seeded_window_points(4),
 ]
+# (dense, window, skipped, states) of each window point, recorded with the whole
+# band's eigenvalues: a window block that falls back to dense changes them
+WINDOW_TALLIES = [(4, 5, 3, 526), (8, 4, 0, 1049), (8, 3, 1, 1044), (10, 2, 0, 1181),
+                  (6, 4, 0, 790), (8, 4, 0, 1047), (6, 4, 0, 786), (8, 3, 1, 1043),
+                  (6, 4, 0, 786)]
 
 
 @pytest.mark.parametrize("N, eps, g, beta, n_max", WINDOW_POINTS)
@@ -433,7 +438,8 @@ def test_window_records_match_dense(N, eps, g, beta, n_max):
     p = ProbeParams(N=N, epsilon=eps, omega=1.0, g=g)
     window = _sector_data(p, n_max, beta=beta)
     dense = _sector_data(p, n_max)  # beta = 0: every block dense, valid at every beta
-    assert window.solver["window"] > 0
+    tally = WINDOW_TALLIES[WINDOW_POINTS.index((N, eps, g, beta, n_max))]
+    assert tuple(window.solver.values()) == tally
     sectors = sector_multiplicities(N).sectors
     assert dense.solver == {"dense": 2 * len(sectors), "window": 0, "skipped": 0,
                             "states": sum(int(2 * J + 1) for J, _ in sectors) * (n_max + 1)}
@@ -512,3 +518,80 @@ def test_large_point_solves_only_small_blocks_densely(monkeypatch):
     assert (got.solver["dense"], got.solver["window"] + got.solver["skipped"]) == (4, 8)
     ref = _snr(p, _combine(_sector_data(p, 128), 20.0), "auto")
     assert got.snr == pytest.approx(ref, rel=1e-12)
+
+
+def _window_bands(monkeypatch, p, n_max, beta):
+    """(ab, |W|) of every window block of one solve."""
+    bands = []
+    window = thermal._window
+
+    def kept(ab, *args):
+        rec = window(ab, *args)
+        if rec is not None:
+            bands.append((ab, len(rec[0])))
+        return rec
+
+    monkeypatch.setattr(thermal, "_window", kept)
+    _sector_data(p, n_max, beta=beta)
+    monkeypatch.undo()
+    return bands
+
+
+@pytest.mark.parametrize("N, eps, g, beta, n_max", WINDOW_POINTS)
+def test_inertia_count_matches_dense(monkeypatch, N, eps, g, beta, n_max):
+    # shifts on both sides of each kept eigenvalue and of the first one left out,
+    # half way to the nearer neighbour, so inside every near pair among them; split
+    # after d/20 rows (where the Schur correction decides the count), after the
+    # leading block, and 32 rows from the end, the count is exact where the trailing
+    # rows are positive definite at the shift, and None where they are not
+    near = 0
+    for ab, w in _window_bands(monkeypatch, ProbeParams(N, eps, 1.0, g), n_max, beta):
+        b, d = len(ab) - 1, ab.shape[1]
+        H = np.diag(ab[0])
+        for q in range(1, b + 1):
+            H += np.diag(ab[q, : d - q], -q) + np.diag(ab[q, : d - q], q)
+        lam = np.linalg.eigvalsh(H)
+        gaps = np.diff(lam[: w + 2])
+        half = np.minimum(np.r_[np.inf, gaps[:-1]], gaps) / 2
+        near += np.sum(gaps[:w] < thermal.NEAR)
+        for k in (d // 20, 4 * (d // 20) + 4, d - 32):
+            tail = np.linalg.eigvalsh(H[k:, k:])[0]
+            for sigma in np.r_[lam[: w + 1] - half, lam[: w + 1] + half]:
+                got = thermal._count_below(ab, k, sigma)
+                assert got == (np.sum(lam < sigma) if tail > sigma else None), (d, k, sigma)
+    assert near > 0 or g != 0.002
+
+
+def test_large_point_solves_no_whole_band(monkeypatch):
+    # every banded eigenvalue solve of a window block takes at most its leading block
+    cols = []
+    window, solve = thermal._window, thermal.eigvals_banded
+
+    def windowed(ab, *args):
+        cols.append((ab.shape[1], []))
+        return window(ab, *args)
+
+    def banded(ab, *args, **kw):
+        cols[-1][1].append(ab.shape[1])
+        return solve(ab, *args, **kw)
+
+    monkeypatch.setattr(thermal, "_window", windowed)
+    monkeypatch.setattr(thermal, "eigvals_banded", banded)
+    p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.2)
+    assert snr_exact(p, 20.0, n_max=128).solver["window"] == len(cols) == 5
+    assert all(seen and max(seen) <= 4 * (d // 20) + 4 for d, seen in cols)
+
+
+def test_large_point_never_builds_a_skipped_sector(monkeypatch):
+    # J = 2 has two blocks of d >= D_WINDOW, both skipped: its sector is never built
+    built = []
+    build = thermal.build_mapped_hamiltonian
+
+    def counted(p, J, n_max):
+        built.append(J)
+        return build(p, J, n_max)
+
+    monkeypatch.setattr(thermal, "build_mapped_hamiltonian", counted)
+    p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.2)
+    assert snr_exact(p, 20.0, n_max=128).solver["skipped"] == 3
+    assert built == [5, 4, 3, 1, 0]
