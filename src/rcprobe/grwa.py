@@ -86,19 +86,25 @@ def dlambda_deps(epsilon, omega, g, lam=None):
     return -f_eps / f_lam
 
 
+def _F_table(n, m_max, lam):
+    """F_n(m) for m = 0 .. m_max from one upward recurrence pass of L_m^n(lam^2) in m."""
+    x = lam * lam
+    L = np.ones(m_max + 1)
+    lk1, lk = 0.0, 1.0  # L_{-1}^n = 0, L_0^n = 1
+    for k in range(1, m_max + 1):
+        lk1, lk = lk, ((2 * k - 1 + n - x) * lk - (k - 1 + n) * lk1) / k
+        L[k] = lk
+    ratio, m = np.ones(m_max + 1), np.arange(m_max + 1)
+    for j in range(1, n + 1):  # m!/(m+n)!
+        ratio /= m + j
+    return lam**n * math.exp(-0.5 * x) * ratio * L
+
+
 def coefficient_F(n, m, lam):
     """F_n(m) = lam^n e^{-lam^2/2} (m!/(m+n)!) L_m^n(lam^2), stable recurrence."""
     if n < 0 or m < 0:
         raise NumericalDomainError("F_n(m) requires n, m >= 0")
-    x = lam * lam
-    # associated Laguerre L_m^n(x) by upward recurrence in the degree
-    lk1, lk = 0.0, 1.0  # L_{-1}^n = 0, L_0^n = 1
-    for k in range(1, m + 1):
-        lk1, lk = lk, ((2 * k - 1 + n - x) * lk - (k - 1 + n) * lk1) / k
-    ratio = 1.0
-    for j in range(m + 1, m + n + 1):  # m!/(m+n)!
-        ratio /= j
-    return lam**n * math.exp(-0.5 * x) * ratio * lk
+    return float(_F_table(n, m, lam)[m])
 
 
 def ground_entry(N, epsilon, omega, g, lam):
@@ -111,39 +117,24 @@ def build_grwa_blocks(N, epsilon, omega, g, lam, n_max):
     if N < 1 or n_max < 1:
         raise NumericalDomainError("N and n_max must be >= 1")
     J = N / 2.0
-    twoJ = N
     delta = omega * lam * lam - 2.0 * g * lam
     gt = g - omega * lam
     jj = J * (J + 1.0)
+    # every state |m, n> once (k = m + J), ordered by C = k + n, then by ascending m
+    k, n = np.divmod(np.arange((N + 1) * (n_max + 1)), n_max + 1)
+    order = np.lexsort((k, k + n))
+    k, n = k[order], n[order]
+    m = k - J
+    diag = omega * n + 0.5 * delta * (jj - m * m) + epsilon * m * _F_table(0, n_max, lam)[n]
+    # <m,n|H|m-1,n+1>: the coupling of each state to the one before it in its block
+    off = (0.5 * np.sqrt(jj - m * (m - 1.0)) * np.sqrt(n + 1.0)
+           * (gt + epsilon * _F_table(1, n_max, lam)[n]))
+    ends = np.searchsorted(k + n, np.arange(N + n_max + 2))
     blocks = []
-    for C in range(0, n_max + twoJ + 1):
-        states = []
-        for k in range(twoJ + 1):  # k = m + J
-            n = C - k
-            if 0 <= n <= n_max:
-                states.append((-J + k, n))
-        if not states:
-            continue
-        d = len(states)
-        B = np.zeros((d, d))
-        for i, (m, n) in enumerate(states):
-            B[i, i] = (
-                omega * n
-                + 0.5 * delta * (jj - m * m)
-                + epsilon * m * coefficient_F(0, n, lam)
-            )
-        for i in range(1, d):
-            m, n = states[i]  # couples to (m-1, n+1) = states[i-1]
-            assert states[i - 1] == (m - 1, n + 1)
-            B[i, i - 1] = B[i - 1, i] = (
-                0.5
-                * math.sqrt(jj - m * (m - 1.0))
-                * math.sqrt(n + 1.0)
-                * (gt + epsilon * coefficient_F(1, n, lam))
-            )
+    for C, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+        B, i = np.diag(diag[a:b]), np.arange(1, b - a)
+        B[i, i - 1] = B[i - 1, i] = off[a + 1 : b]
         blocks.append(GrwaBlock(C - 1, B))
-    total = sum(b.matrix.shape[0] for b in blocks)
-    assert total == (twoJ + 1) * (n_max + 1)
     return blocks
 
 

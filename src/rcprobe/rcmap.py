@@ -41,8 +41,8 @@ class OhmicResidual:
     omega_c: float
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.omega_c <= 0:
-            raise ParameterError("gamma and omega_c must be positive")
+        if not (0 < self.gamma < math.inf and 0 < self.omega_c < math.inf):
+            raise ParameterError("gamma and omega_c must be positive and finite")
 
     def __call__(self, w):
         # quad calls it on one float at a time, where math.exp is ten times faster
@@ -59,8 +59,8 @@ class LorentzianOriginal:
     omega0: float
 
     def __post_init__(self):
-        if min(self.varsigma, self.Gamma_width, self.omega0) <= 0:
-            raise ParameterError("all Lorentzian parameters must be positive")
+        if not all(0 < v < math.inf for v in (self.varsigma, self.Gamma_width, self.omega0)):
+            raise ParameterError("all Lorentzian parameters must be positive and finite")
 
     def __call__(self, w):
         return (
@@ -73,8 +73,8 @@ class LorentzianOriginal:
 
 def map_residual_to_original(res: OhmicResidual, omega0, g):
     """Lorentzian original-bath density implied by an Ohmic residual bath."""
-    if omega0 <= 0 or g <= 0:
-        raise ParameterError("omega0 and g must be positive")
+    if not (0 < omega0 < math.inf and 0 < g < math.inf):
+        raise ParameterError("omega0 and g must be positive and finite")
     return LorentzianOriginal(
         varsigma=4.0 * omega0 * g**2,
         Gamma_width=res.gamma * omega0,
@@ -166,10 +166,10 @@ def cauchy_transform_subtracted(J, z, quadrature_tol=1e-10, upper=None):
     return _transform(J, z, _kernel_z2_over_w, quadrature_tol, upper)
 
 
-def verify_equivalence(res: OhmicResidual, omega0, g, grid, delta=None, quadrature_tol=1e-10):
+def verify_equivalence(res: OhmicResidual, omega0, g, grid, quadrature_tol=1e-10):
     """Max residual of the dynamical-equivalence relation over a frequency grid.
 
-    Compares -W0(w + i delta)/2 against
+    Compares -W0(w + i delta)/2, delta = 1e-6 omega0, against
     2 g^2 omega0 / ((w + i delta)^2 - omega0^2 + omega0 (W1 - W1(0))),
     with W0 taken over the mapped Lorentzian and W1 over the Ohmic residual
     by quadrature.  Returns the max relative difference (absolute when both
@@ -177,13 +177,11 @@ def verify_equivalence(res: OhmicResidual, omega0, g, grid, delta=None, quadratu
     """
     if len(grid) == 0:
         raise ParameterError("the frequency grid is empty")
-    if delta is None:
-        delta = 1e-6 * omega0
     lor = map_residual_to_original(res, omega0, g)
     upper1 = 60.0 * res.omega_c
     worst = 0.0
     for w in grid:
-        z = w + 1j * delta
+        z = w + 1j * (1e-6 * omega0)
         w0 = cauchy_transform(lor, z, quadrature_tol, upper=50.0 * max(omega0, w))
         # counterterm-subtracted W1, computed cancellation-free
         dw1 = cauchy_transform_subtracted(res, z, quadrature_tol, upper=upper1)
@@ -191,5 +189,8 @@ def verify_equivalence(res: OhmicResidual, omega0, g, grid, delta=None, quadratu
         rhs = 2.0 * g**2 * omega0 / (z * z - omega0**2 + omega0 * dw1)
         denom = max(abs(lhs), abs(rhs))
         diff = abs(lhs - rhs)
-        worst = max(worst, diff / denom if denom > 1e-12 else diff)
+        r = diff / denom if denom > 1e-12 else diff
+        if not r < math.inf:  # an overflow inside a transform; max() would drop a nan
+            raise QuadratureError(f"non-finite residual {r} at w = {w}")
+        worst = max(worst, r)
     return worst

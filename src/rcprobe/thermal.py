@@ -381,10 +381,16 @@ def _combine(s: Spectra, beta):
     m1 = w @ s.d1 / zt
     diag = w @ (s.d1 - m1) ** 2
     varp = diag + w @ s.r
-    vark = diag + (2 / beta) * (w @ s.R)
+    with np.errstate(over="ignore"):  # 2/beta overflows at a denormal beta
+        vark = diag + (2 / beta) * (w @ s.R)
+        lost = np.finfo(float).eps * (2 / beta) * (w @ np.abs(s.R))  # a bound on its rounding
     i, gap, m2 = s.near
     if len(i):
         vark += 2 * m2 @ (w[i] * _phi(beta * gap))
+    if not lost <= 1e-8 * vark < np.inf:  # the second-order sum cancels as beta -> 0
+        raise NumericalDomainError(
+            f"beta = {beta}: the Kubo sum's rounding bound {lost / zt:.2e} exceeds "
+            f"1e-8 of Var_Kubo = {vark / zt:.2e}")
     return ThermalObservables(
         beta=beta, lnZ=lnz, mean_Jz=m1, mean_Jz2=varp / zt + m1 * m1,
         var_Jz=varp / zt, var_Jz_kubo=vark / zt, p_top=w @ s.t / zt,

@@ -132,6 +132,65 @@ def test_blocks_match_published_N3(params, n):
     assert np.max(np.abs(mine - ref)) < 1e-12
 
 
+def _ref_F(n, m, lam):
+    """F_n(m) by one scalar Laguerre recurrence per call."""
+    x = lam * lam
+    lk1, lk = 0.0, 1.0
+    for k in range(1, m + 1):
+        lk1, lk = lk, ((2 * k - 1 + n - x) * lk - (k - 1 + n) * lk1) / k
+    ratio = 1.0
+    for j in range(m + 1, m + n + 1):
+        ratio /= j
+    return lam**n * math.exp(-0.5 * x) * ratio * lk
+
+
+def _ref_blocks(N, epsilon, omega, g, lam, n_max):
+    """The blocks built state by state, two _ref_F calls per state."""
+    J = N / 2.0
+    delta = omega * lam * lam - 2.0 * g * lam
+    gt = g - omega * lam
+    jj = J * (J + 1.0)
+    blocks = []
+    for C in range(0, n_max + N + 1):
+        states = [(-J + k, C - k) for k in range(N + 1) if 0 <= C - k <= n_max]
+        B = np.zeros((len(states), len(states)))
+        for i, (m, n) in enumerate(states):
+            B[i, i] = omega * n + 0.5 * delta * (jj - m * m) + epsilon * m * _ref_F(0, n, lam)
+        for i in range(1, len(states)):
+            m, n = states[i]
+            assert states[i - 1] == (m - 1, n + 1)
+            B[i, i - 1] = B[i - 1, i] = (
+                0.5 * math.sqrt(jj - m * (m - 1.0)) * math.sqrt(n + 1.0)
+                * (gt + epsilon * _ref_F(1, n, lam)))
+        blocks.append((C - 1, B))
+    return blocks
+
+
+def _seeded_block_params(count, seed=17):
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in range(count):
+        g = 0.0 if t % 5 == 0 else float(rng.uniform(0.0, 1.5))
+        eps = 0.0 if t % 5 == 1 else float(rng.uniform(0.0, 3.0))
+        out.append((int(rng.integers(1, 9)), eps, float(rng.uniform(0.3, 2.0)), g,
+                    0.0 if g == 0.0 else float(rng.uniform(0.0, 2.0)), int(rng.integers(1, 61))))
+    return out
+
+
+def test_blocks_bitwise_equal_to_state_by_state_build():
+    # seeded N = 1-8, n_max = 1-60, with g = 0 and eps = 0 among them
+    for args in [(1, 1.0, 1.0, 0.4, 0.35, 1), (8, 1.0, 1.0, 0.4, 0.35, 60),
+                 *_seeded_block_params(60)]:
+        mine = build_grwa_blocks(*args)
+        ref = _ref_blocks(*args)
+        assert [b.excitation_index for b in mine] == [c for c, _ in ref], args
+        for b, (_, B) in zip(mine, ref):
+            assert b.matrix.shape == B.shape and b.matrix.tobytes() == B.tobytes(), args
+        for n in range(4):
+            for m in (0, 1, args[-1]):
+                assert coefficient_F(n, m, args[4]) == _ref_F(n, m, args[4]), args
+
+
 def test_ground_entry_matches_block():
     eps, om, g = 1.0, 1.0, 0.4
     lam = solve_lambda(eps, om, g).lam

@@ -114,6 +114,19 @@ def test_bad_parameters_rejected():
         LorentzianOriginal(varsigma=1.0, Gamma_width=0.0, omega0=1.0)
     with pytest.raises(ValueError):
         map_residual_to_original(OhmicResidual(0.1, 10.0), omega0=1.0, g=0.0)
+    # nan passes every `<= 0` check, and inf reaches the quadrature
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            OhmicResidual(gamma=bad, omega_c=10.0)
+        with pytest.raises(ParameterError, match="finite"):
+            OhmicResidual(gamma=0.1, omega_c=bad)
+        with pytest.raises(ParameterError, match="finite"):
+            LorentzianOriginal(varsigma=1.0, Gamma_width=bad, omega0=1.0)
+        with pytest.raises(ParameterError, match="finite"):
+            map_residual_to_original(OhmicResidual(0.1, 10.0), omega0=1.0, g=bad)
+    # finite but overflowing inside a transform: a nan residual, never a max of 0
+    with pytest.raises(QuadratureError, match="non-finite residual"):
+        verify_equivalence(OhmicResidual(gamma=1e150, omega_c=1e2), 1.0, 1e100, GRID[:1])
     # a quadrature tolerance that is not positive, before scipy sees it
     res = OhmicResidual(gamma=0.05, omega_c=1e2)
     for tol in (0.0, -1e-10, math.nan):

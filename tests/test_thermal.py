@@ -408,6 +408,16 @@ def test_nonfinite_or_nonpositive_beta_rejected(beta):
         thermal_observables(p, beta, 8)
 
 
+@pytest.mark.parametrize("N, g, beta", [(1, 0.3, 1e-50), (2, 0.5, 1e-20),
+                                        (1, 0.3, np.float64(1e-310))])
+def test_kubo_sum_without_precision_rejected(N, g, beta):
+    # (2/beta) sum_i w_i R_i cancels as beta -> 0: +2.6e32 relative at N = 1,
+    # negative at N = 2, and 2/beta overflows at a denormal beta
+    p = ProbeParams(N=N, epsilon=1.0, omega=1.0, g=g)
+    with pytest.raises(NumericalDomainError, match="rounding bound"):
+        thermal_observables(p, beta, 32)
+
+
 def _seeded_window_points(count, seed=2026):
     rng = np.random.default_rng(seed)
     return [(int(rng.integers(9, 11)), float(rng.uniform(0.6, 1.4)), float(rng.uniform(0.05, 0.6)),
@@ -455,6 +465,19 @@ def test_window_records_match_dense(N, eps, g, beta, n_max):
     for colder in (2 * beta, 10 * beta):
         assert _combine(window, colder).var_Jz_kubo == pytest.approx(
             _combine(dense, colder).var_Jz_kubo, rel=1e-10)
+
+
+def test_kubo_variance_never_exceeds_projective():
+    # each pair enters Var_Kubo with 2 tanh(x/2)/x <= 1 of its Var_proj weight
+    rng = np.random.default_rng(31)
+    cases = [(int(rng.integers(1, 6)), float(rng.uniform(0.0, 2.5)), float(rng.uniform(0.0, 1.5)),
+              10.0 ** rng.uniform(-3.0, 2.0), int(rng.integers(2, 17))) for _ in range(40)]
+    cases += _seeded_window_points(4)
+    for N, eps, g, beta, n_max in cases:
+        s = _sector_data(ProbeParams(N=N, epsilon=eps, omega=1.0, g=g), n_max, beta=beta)
+        for b in (beta, 3 * beta):
+            obs = _combine(s, b)
+            assert obs.var_Jz_kubo <= obs.var_Jz * (1 + 1e-12), (N, eps, g, b, n_max)
 
 
 def test_window_cases_cover_near_pairs_and_skipped_blocks(monkeypatch):
