@@ -1,9 +1,10 @@
 """Collective-spin and truncated-boson operators, and the probe+mode Hamiltonian.
 
-All matrices are real and dense.  In the chosen basis the Hamiltonian
-H = eps*Jz + omega*n + g*Jx*(a^dag + a) is real symmetric, so complex
-arithmetic is never needed; Jy is only ever handed out through its real
-antisymmetric representation.
+All matrices are real, and dense but for the Fock-slow band of one parity
+block (_parity_band).  In the chosen basis the Hamiltonian H = eps*Jz +
+omega*n + g*Jx*(a^dag + a) is real symmetric, so complex arithmetic is
+never needed; Jy is only ever handed out through its real antisymmetric
+representation.
 
 Composite basis ordering: spin index slow, Fock index fast, i.e. the
 composite state |m, n> sits at row (m + J)*(n_max + 1) + n.
@@ -133,6 +134,19 @@ def boson_operators(n_max):
     return OperatorMatrix(x), OperatorMatrix(num)
 
 
+def _check_sector(p: ProbeParams, J, n_max):
+    """(2J + 1, n_max + 1) of sector J, checked against N, the cutoff and DIM_CAP."""
+    twoJ = _check_half_integer(J)
+    if J > p.N / 2 + 1e-12:
+        raise NumericalDomainError(f"J={J} exceeds N/2={p.N / 2}")
+    if n_max < 1 or int(n_max) != n_max:
+        raise NumericalDomainError(f"n_max must be a positive integer, got {n_max}")
+    ds, nb = twoJ + 1, int(n_max) + 1
+    if ds * nb > DIM_CAP:
+        raise NumericalDomainError(f"composite dimension {ds * nb} exceeds cap {DIM_CAP}")
+    return ds, nb
+
+
 def build_mapped_hamiltonian(p: ProbeParams, J, n_max):
     """H = eps*Jz x 1 + omega*1 x n + g*Jx x (a^dag + a), real symmetric.
 
@@ -141,21 +155,35 @@ def build_mapped_hamiltonian(p: ProbeParams, J, n_max):
     amplitude), plus its transpose.  Every coupling moves m and n by one
     each, so the parity (-1)^{(m+J)+n} is conserved.
     """
-    twoJ = _check_half_integer(J)
-    if J > p.N / 2 + 1e-12:
-        raise NumericalDomainError(f"J={J} exceeds N/2={p.N / 2}")
-    if n_max < 1 or int(n_max) != n_max:
-        raise NumericalDomainError(f"n_max must be a positive integer, got {n_max}")
-    ds, nb = twoJ + 1, int(n_max) + 1
+    ds, nb = _check_sector(p, J, n_max)
     dim = ds * nb
-    if dim > DIM_CAP:
-        raise NumericalDomainError(f"composite dimension {dim} exceeds cap {DIM_CAP}")
     m, c = _spin_ladder(J)
     H = np.zeros((dim, dim))
     H.flat[:: dim + 1] = np.add.outer(p.epsilon * m, p.omega * np.arange(nb)).ravel()
     # |m, n> sits at row (m + J)*nb + n; `lo` is that row for m < J and n < n_max
-    lo = (np.arange(twoJ)[:, None] * nb + np.arange(nb - 1)).ravel()
+    lo = (np.arange(ds - 1)[:, None] * nb + np.arange(nb - 1)).ravel()
     band = p.g * np.outer(0.5 * c, np.sqrt(np.arange(1, nb))).ravel()
     for r, k in ((lo + nb + 1, lo), (lo + nb, lo + 1)):  # <m+1, n+1|, <m+1, n|
         H[r, k] = H[k, r] = band
     return OperatorMatrix(H)
+
+
+def _parity_band(p: ProbeParams, J, n_max, k):
+    """(ab, m, n): parity block k of sector J, its states |m, n> of (m + J) + n = k mod 2
+    ordered by n*(2J + 1) + m + J, in LAPACK lower band storage with trailing zero diagonals
+    dropped (b <= J + 1, 0 at g = 0); each entry is build_mapped_hamiltonian's expression."""
+    ds, nb = _check_sector(p, J, n_max)
+    m, c = _spin_ladder(J)
+    n, i = np.divmod(np.arange(ds * nb), ds)  # state n*ds + i is |m, n>, i = m + J
+    keep = (i + n) % 2 == k
+    col = np.cumsum(keep) - 1  # each kept state's column in the block
+    lo = np.flatnonzero((i < ds - 1) & (n < nb - 1))  # m < J and n < n_max
+    band = np.tile(p.g * (0.5 * c[i[lo]] * np.sqrt(n[lo] + 1)), 2)
+    # <m+1, n+1|H|m, n> and <m, n+1|H|m+1, n>, each bra after its ket in this order
+    ket, bra = np.r_[lo, lo + 1], np.r_[lo + ds + 1, lo + ds]
+    on = keep[ket] & (band != 0)
+    q = col[bra[on]] - col[ket[on]]
+    ab = np.zeros((q.max(initial=0) + 1, keep.sum()))
+    ab[0] = (p.epsilon * m[i] + p.omega * n)[keep]
+    ab[q, col[ket[on]]] = band[on]
+    return ab, m[i[keep]], n[keep]

@@ -75,8 +75,12 @@ def map_residual_to_original(res: OhmicResidual, omega0, g):
     """Lorentzian original-bath density implied by an Ohmic residual bath."""
     if not (0 < omega0 < math.inf and 0 < g < math.inf):
         raise ParameterError("omega0 and g must be positive and finite")
+    try:
+        varsigma = 4.0 * omega0 * g**2
+    except OverflowError:  # a Python float's ** raises where * would give inf
+        raise ParameterError(f"g = {g} too large: the Lorentzian strength overflows") from None
     return LorentzianOriginal(
-        varsigma=4.0 * omega0 * g**2,
+        varsigma=varsigma,
         Gamma_width=res.gamma * omega0,
         omega0=omega0,
     )
@@ -89,7 +93,10 @@ def _quad_checked(f, a, b, tol, **kw):
         # the returned error estimate is checked below; roundoff chatter from
         # underflowing tails is not actionable
         warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(f, a, b, limit=400, epsabs=tol, epsrel=tol, **kw)
+        try:
+            val, err = quad(f, a, b, limit=400, epsabs=tol, epsrel=tol, **kw)
+        except OverflowError as exc:  # from a Python float's ** in the density
+            raise QuadratureError(f"the integrand overflows on [{a}, {b}]: {exc}") from None
     if err > 1e-5 * max(abs(val), 1.0):
         raise QuadratureError(f"quadrature error {err:.2e} on [{a}, {b}]")
     return val
@@ -111,7 +118,8 @@ def _transform(J, z, f, tol, upper):
 
     Near the positive real axis (|Im z| <= 1e-4 Re z) this is the delta -> 0+
     limit, with an O(delta) error: a principal value by the Cauchy-weight rule
-    on [0, 2x], per-decade panels up to 10 * upper, and Im = J(x) exactly.
+    on [0, 2x], per-decade panels from 2x up to 10 * upper (none where that is
+    below 2x), and Im = J(x) exactly.
     Elsewhere, z = 0 included, both parts are direct adaptive quadratures.
     """
     z = complex(z)
@@ -121,7 +129,8 @@ def _transform(J, z, f, tol, upper):
     if x > 0 and abs(d) <= 1e-4 * x:
         pv = _quad_checked(lambda w: f(J, w, x) / (w + x), 0.0, 2.0 * x, tol,
                            weight="cauchy", wvar=x)
-        reg = _quad_decades(lambda w: f(J, w, x) / (w * w - x * x), 2.0 * x, 10.0 * upper, tol)
+        reg = _quad_decades(lambda w: f(J, w, x) / (w * w - x * x), 2.0 * x,
+                            max(2.0 * x, 10.0 * upper), tol)
         return complex((2.0 / math.pi) * (pv + reg), math.copysign(1.0, d) * J(x))
     if d == 0 and x != 0:
         raise QuadratureError("z on the real axis: use a finite imaginary shift or |Im z| << Re z")

@@ -11,14 +11,13 @@ energy so that beta*omega ~ 10^3 neither under- nor overflows.
 A record is made for the least beta it must serve, and one rule picks each
 block's solver.  A block of d >= D_WINDOW = 256 rows, at a finite beta > 0,
 is
-  skipped   when the least Gershgorin bound lb of its rows, read from
-            (p, J, n_max), gives mult*d*e^{-beta (lb - e0)} < CUT = 1e-16,
-            e0 the least energy found so far (sectors run from J = N/2
-            down); a sector whose two blocks are skipped is never built;
+  skipped   when the least Gershgorin bound lb of its rows, read from its
+            band, gives mult*d*e^{-beta (lb - e0)} < CUT = 1e-16, e0 the
+            least energy found so far (sectors run from J = N/2 down);
   windowed  when its lowest |W| <= d/20 states leave out less than that,
             mult*(d - |W|)*e^{-beta (E_cut - e0)} < CUT with the cut in a gap
             of at least NEAR*omega: W is read from a leading block of the
-            band in Fock-slow order (bandwidth <= 2J + 2), certified by an
+            band in Fock-slow order (bandwidth <= J + 1), certified by an
             inertia count of the whole band, and only W is solved (_window);
   dense     otherwise, a failed certificate included.  Every block below
             D_WINDOW is solved densely.
@@ -26,6 +25,7 @@ So a record drops only states whose Gibbs weight, relative to the ground
 state's, is below CUT at its beta and at every larger one.  CUT bounds that
 weight, not the dropped share of Var_Kubo, which is larger where the ground
 state is nearly a Jz eigenstate: hence no skipping below D_WINDOW.
+Bands come from operators._parity_band; only a dense block's sector is built.
 
 Two noise channels are provided for the SNR denominator:
 
@@ -134,8 +134,8 @@ def _phi(x):
 
 
 def _blocks(p: ProbeParams, n_max, sector):
-    """(J, mult, rows, H) per parity block: rows the block's rows in its sector, and H()
-    the sector Hamiltonian, built at its first call, so a sector none calls is never built.
+    """(J, mult, k, rows, H) per parity block k: rows the block's rows in its sector, and
+    H() the sector Hamiltonian, built at its first call, so a sector none calls is never built.
 
     The total-spin sectors taken are all, or J = N/2 only for "maximal".  No
     element of H or Jz couples rows of unequal (m+J)+n parity, so each
@@ -147,7 +147,7 @@ def _blocks(p: ProbeParams, n_max, sector):
         i = np.arange(int(round(2 * J + 1)) * nb)
         parity = (i // nb + i % nb) % 2
         for k in (0, 1):
-            yield J, mult, np.flatnonzero(parity == k), H
+            yield J, mult, k, np.flatnonzero(parity == k), H
 
 
 def _parity_blocks(p: ProbeParams, n_max, sector="full"):
@@ -155,7 +155,7 @@ def _parity_blocks(p: ProbeParams, n_max, sector="full"):
 
     `rows` are a block's rows in the sector basis, E and V its spectrum.
     """
-    for J, mult, rows, H in _blocks(p, n_max, sector):
+    for J, mult, _, rows, H in _blocks(p, n_max, sector):
         yield (J, mult, rows, *eigendecompose(H()[np.ix_(rows, rows)]))
 
 
@@ -176,35 +176,6 @@ def _pairs(E, V, jz, omega):
     gap[i, j] = gap[j, i] = np.inf
     np.fill_diagonal(gap, np.inf)
     return d1, M, (M / gap).sum(axis=1), near
-
-
-def _band(H, rows, J, n_max):
-    """(ab, order): the block H[rows, rows] in Fock-slow order, in LAPACK lower band storage.
-
-    order lists the block's sector rows by n*(2J+1) + m + J, and
-    ab[q, k] = H[order[k + q], order[k]].  Every coupling moves m and n by
-    one each, so it spans at most 2J + 2 rows in that order; zero trailing
-    diagonals are dropped.
-    """
-    nb, ds = n_max + 1, int(round(2 * J)) + 1
-    order = rows[np.argsort(rows % nb * ds + rows // nb)]
-    d = len(order)
-    ab = np.zeros((min(ds + 2, d), d))
-    for q in range(len(ab)):
-        ab[q, : d - q] = H[order[q:], order[: d - q]]
-    b = len(ab) - 1
-    while b and not ab[b].any():
-        b -= 1
-    return ab[: b + 1], order
-
-
-def _row_bounds(p: ProbeParams, J, n_max):
-    """Each sector row's Gershgorin lower bound, from (p, J, n_max) without building H:
-    eps*m + omega*n - (g/2)(c_m + c_{m-1})(sqrt(n) + sqrt(n+1)[n < n_max]), c_J = c_{-J-1} = 0."""
-    m, c = operators._spin_ladder(J)
-    c, n = np.pad(c, 1), np.arange(n_max + 1)
-    radius = 0.5 * p.g * np.outer(c[1:] + c[:-1], np.sqrt(n) + np.sqrt(n + 1) * (n < n_max))
-    return (np.add.outer(p.epsilon * m, p.omega * n) - radius).ravel()
 
 
 def _count_below(ab, k, sigma):
@@ -344,16 +315,17 @@ def _sector_data(p: ProbeParams, n_max, sector="full", beta=0.0) -> Spectra:
     recs = []
     solver = dict.fromkeys(("dense", "window", "skipped", "states"), 0)
     e0 = np.inf  # the least energy found so far, never below the ground energy
-    for J, mult, rows, H in _blocks(p, n_max, sector):
+    for J, mult, k, rows, H in _blocks(p, n_max, sector):
         d, rec = len(rows), None
         if d >= D_WINDOW and 0 < beta < np.inf:
-            lb = _row_bounds(p, J, n_max)[rows].min()
+            ab, m, n = operators._parity_band(p, J, n_max, k)
+            # Gershgorin: min_i H_ii - sum_{j != i} |H_ij| = 2 H_ii - (H 1)_i, as no H_ij < 0
+            lb = (2 * ab[0] - sbmv(len(ab) - 1, 1.0, ab, np.ones(d), lower=1)).min()
             with np.errstate(over="ignore"):
                 if beta * (lb - e0) > np.log(mult * d / CUT):
                     solver["skipped"] += 1
                     continue
-            ab, order = _band(H(), rows, J, n_max)
-            rec = _window(ab, order // nb - J, order % nb == n_max, mult, beta, e0, lb, p.omega)
+            rec = _window(ab, m, n == n_max, mult, beta, e0, lb, p.omega)
         solver["dense" if rec is None else "window"] += 1
         if rec is None:
             E, V = eigendecompose(H()[np.ix_(rows, rows)])

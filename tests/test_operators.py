@@ -129,6 +129,8 @@ def test_dimension_cap(monkeypatch):
     monkeypatch.setattr(operators, "DIM_CAP", 100)
     with pytest.raises(NumericalDomainError, match="exceeds cap 100$"):
         build_mapped_hamiltonian(p, 0.5, 60)
+    with pytest.raises(NumericalDomainError, match="exceeds cap 100$"):
+        operators._parity_band(p, 0.5, 60, 0)
 
 
 @pytest.mark.parametrize("n_max", [0, -1, -2, 2.5])
@@ -193,6 +195,38 @@ def test_hamiltonian_always_symmetric(N, eps, g):
     p = ProbeParams(N=N, epsilon=eps, omega=1.0, g=g)
     H = build_mapped_hamiltonian(p, N / 2, 8)
     assert np.array_equal(H.entries, H.entries.T)
+
+
+def _gathered_band(p, J, n_max, k):
+    """Parity block k of the dense sector in Fock-slow lower band storage, gathered row by row:
+    (ab, m, n) as operators._parity_band returns them, trailing zero diagonals dropped."""
+    H = build_mapped_hamiltonian(p, J, n_max).entries
+    nb, ds = n_max + 1, int(round(2 * J)) + 1
+    rows = np.flatnonzero(_parity(J, n_max) == k)
+    order = rows[np.argsort(rows % nb * ds + rows // nb)]
+    d = len(order)
+    ab = np.zeros((min(ds + 2, d), d))
+    for q in range(len(ab)):
+        ab[q, : d - q] = H[order[q:], order[: d - q]]
+    b = len(ab) - 1
+    while b and not ab[b].any():
+        b -= 1
+    return ab[: b + 1], order // nb - J, order % nb
+
+
+def test_parity_band_is_the_gathered_sector_block_bitwise():
+    rng = np.random.default_rng(18)
+    for case in range(100):
+        N, n_max = int(rng.integers(1, 13)), int(rng.integers(1, 71))
+        g = 0.0 if case % 6 == 0 else float(rng.uniform(0.0, 2.0))
+        eps = 0.0 if case % 5 == 0 else float(rng.uniform(0.0, 2.0))
+        p = ProbeParams(N=N, epsilon=eps, omega=1.0, g=g)
+        for J, _ in sector_multiplicities(N).sectors:
+            for k in (0, 1):
+                got, ref = operators._parity_band(p, J, n_max, k), _gathered_band(p, J, n_max, k)
+                assert got[0].shape == ref[0].shape, (N, eps, g, J, n_max, k)
+                for a, b in zip(got, ref):
+                    assert a.tobytes() == b.tobytes(), (N, eps, g, J, n_max, k)
 
 
 def test_bad_params_rejected():

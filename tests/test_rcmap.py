@@ -127,6 +127,10 @@ def test_bad_parameters_rejected():
     # finite but overflowing inside a transform: a nan residual, never a max of 0
     with pytest.raises(QuadratureError, match="non-finite residual"):
         verify_equivalence(OhmicResidual(gamma=1e150, omega_c=1e2), 1.0, 1e100, GRID[:1])
+    # a cutoff so far below x that 10 * upper < 2x: an empty regular panel, not a
+    # backward one that samples the pole w = x
+    with pytest.raises(QuadratureError, match="quadrature error"):
+        verify_equivalence(OhmicResidual(gamma=1e150, omega_c=1e-300), 1.0, 1e50, GRID)
     # a quadrature tolerance that is not positive, before scipy sees it
     res = OhmicResidual(gamma=0.05, omega_c=1e2)
     for tol in (0.0, -1e-10, math.nan):

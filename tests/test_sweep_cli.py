@@ -302,6 +302,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         for value in ("nan", "inf"):
             assert main(["map-spectral", flag, value]) == EXIT_CONFIG
     assert capsys.readouterr().out == ""
+    # a finite map-spectral parameter beyond a float: g^2 overflows the Lorentzian's
+    # strength, Gamma^2 overflows inside a transform, and a cutoff far below every grid
+    # frequency leaves the transform's regular panel empty
+    assert main(["map-spectral", "--g", "1e200"]) == EXIT_CONFIG
+    assert main(["map-spectral", "--gamma", "1e300"]) == EXIT_DOMAIN
+    assert "overflows" in capsys.readouterr().err
+    assert main(["map-spectral", "--cutoff-ratios", "1e-300", "--grid-points", "3"]) == 0
+    assert math.isfinite(_strict_json(capsys.readouterr().out)[0]["max_residual"])
     # fewer than one worker thread
     for jobs in ("0", "-3"):
         assert main(["sweep", "--config", str(few), "--jobs", jobs]) == EXIT_CONFIG

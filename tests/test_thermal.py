@@ -606,7 +606,8 @@ def test_large_point_solves_no_whole_band(monkeypatch):
 
 
 def test_large_point_never_builds_a_skipped_sector(monkeypatch):
-    # J = 2 has two blocks of d >= D_WINDOW, both skipped: its sector is never built
+    # J = 2 has two blocks of d >= D_WINDOW, both skipped, and the window blocks of
+    # J = 5 .. 3 are read from their bands: only J = 1 and 0, solved dense, are built
     built = []
     build = thermal.build_mapped_hamiltonian
 
@@ -617,4 +618,29 @@ def test_large_point_never_builds_a_skipped_sector(monkeypatch):
     monkeypatch.setattr(thermal, "build_mapped_hamiltonian", counted)
     p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.2)
     assert snr_exact(p, 20.0, n_max=128).solver["skipped"] == 3
-    assert built == [5, 4, 3, 1, 0]
+    assert built == [1, 0]
+
+
+def test_only_sectors_with_a_dense_block_are_built(monkeypatch):
+    built, dense, current = [], [], []  # current: the J of the block being solved
+    blocks, build, solve = thermal._blocks, thermal.build_mapped_hamiltonian, thermal.eigendecompose
+
+    def tracked(*args):
+        for block in blocks(*args):
+            current.append(block[0])
+            yield block
+
+    def counted_build(p, J, n_max):
+        built.append(J)
+        return build(p, J, n_max)
+
+    def counted_solve(A):
+        dense.append(current[-1])
+        return solve(A)
+
+    monkeypatch.setattr(thermal, "_blocks", tracked)
+    monkeypatch.setattr(thermal, "build_mapped_hamiltonian", counted_build)
+    monkeypatch.setattr(thermal, "eigendecompose", counted_solve)
+    s = _sector_data(ProbeParams(N=16, epsilon=1.0, omega=1.0, g=0.5), 64, beta=20.0)
+    assert (s.solver["window"], s.solver["dense"]) == (4, 8)
+    assert built == sorted(set(dense), reverse=True)
