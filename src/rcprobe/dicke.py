@@ -21,11 +21,12 @@ with Phi'' in closed form.  The per-spin SNR is
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
+import scipy
 
 from .baseline import weak_snr
 from .errors import NumericalDomainError, ParameterError
@@ -46,6 +47,13 @@ class DickeParams:
         e, w, gb = self.epsilon, self.omega, self.gbar
         if not (0 < e < math.inf and 0 < w < math.inf and 0 < gb < math.inf) or self.N < 1:
             raise ParameterError("epsilon, omega, gbar must be positive and finite; N >= 1")
+        try:
+            mu = self.mu
+        except (OverflowError, ZeroDivisionError):  # gbar**2 overflows or underflows to 0
+            mu = math.nan
+        if not mu >= sys.float_info.min:  # 1/mu bounds eta, so it must be finite
+            raise ParameterError(f"mu = epsilon*omega/(4 gbar^2) leaves the float range at "
+                                 f"epsilon = {e}, omega = {w}, gbar = {gb}")
 
     @property
     def mu(self):
@@ -86,7 +94,9 @@ def solve_eta(p: DickeParams, beta):
     f1 = f(1.0)
     if f1 >= 0.0:  # at or within root tolerance of Tc
         return 1.0
-    return brentq(f, 1.0, hi, xtol=1e-14, rtol=8.9e-16)
+    if f(hi) <= 0.0:  # tanh rounds to 1 and hi*mu below it: the root is hi to rounding
+        return hi
+    return scipy.optimize.brentq(f, 1.0, hi, xtol=1e-14, rtol=8.9e-16)
 
 
 def phi(p: DickeParams, beta, z):
@@ -182,12 +192,16 @@ def dicke_snr(p: DickeParams, beta) -> SnrPoint:
 
 def dicke_solution(p: DickeParams, beta) -> DickeSolution:
     """Phase, order parameter, saddle, lnZ and SNR of one point, from one saddle."""
-    phase, tc, eta, z0 = _saddle(p, beta)
-    s = dicke_snr(p, beta)
+    try:
+        phase, tc, eta, z0 = _saddle(p, beta)
+        s = dicke_snr(p, beta)
+        lnz = laplace_partition(p, beta)[0]
+    except (OverflowError, ZeroDivisionError) as exc:  # where numpy would give inf or nan
+        raise NumericalDomainError(f"{p} at beta = {beta} leaves the float range: "
+                                  f"{type(exc).__name__}") from None
     return DickeSolution(
         phase=phase, Tc=math.inf if tc is None else tc, eta=eta, z0=z0,
-        lnZ=laplace_partition(p, beta)[0], snr=s.snr, snr_weak=s.snr_weak,
-        snr_per_N=s.snr / p.N,
+        lnZ=lnz, snr=s.snr, snr_weak=s.snr_weak, snr_per_N=s.snr / p.N,
     )
 
 
@@ -197,17 +211,20 @@ def hp_excitations(p: DickeParams):
     Returns ((em_n, ep_n), (em_s, ep_s)); a negative normal-branch (em)^2
     (instability beyond the T=0 critical coupling) is reported as nan.
     """
-    e2, w2 = p.epsilon**2, p.omega**2
-    disc_n = math.sqrt((e2 - w2) ** 2 + 16.0 * p.gbar**2 * p.epsilon * p.omega)
-    em2 = 0.5 * (e2 + w2 - disc_n)
-    ep2 = 0.5 * (e2 + w2 + disc_n)
-    normal = (math.sqrt(em2) if em2 >= 0 else math.nan, math.sqrt(ep2))
-    if p.mu < 1.0:
-        ee = e2 / p.mu**2
-        disc_s = math.sqrt((ee - w2) ** 2 + 4.0 * e2 * w2)
-        sm2 = 0.5 * (ee + w2 - disc_s)
-        sp2 = 0.5 * (ee + w2 + disc_s)
-        sup = (math.sqrt(max(sm2, 0.0)), math.sqrt(sp2))
-    else:
-        sup = (math.nan, math.nan)
+    try:
+        e2, w2 = p.epsilon**2, p.omega**2
+        disc_n = math.sqrt((e2 - w2) ** 2 + 16.0 * p.gbar**2 * p.epsilon * p.omega)
+        em2 = 0.5 * (e2 + w2 - disc_n)
+        ep2 = 0.5 * (e2 + w2 + disc_n)
+        normal = (math.sqrt(em2) if em2 >= 0 else math.nan, math.sqrt(ep2))
+        if p.mu < 1.0:
+            ee = e2 / p.mu**2
+            disc_s = math.sqrt((ee - w2) ** 2 + 4.0 * e2 * w2)
+            sm2 = 0.5 * (ee + w2 - disc_s)
+            sp2 = 0.5 * (ee + w2 + disc_s)
+            sup = (math.sqrt(max(sm2, 0.0)), math.sqrt(sp2))
+        else:
+            sup = (math.nan, math.nan)
+    except (OverflowError, ZeroDivisionError) as exc:  # as in dicke_solution
+        raise NumericalDomainError(f"{p} leaves the float range: {type(exc).__name__}") from None
     return normal, sup

@@ -22,8 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import logsumexp
+import scipy
 
 from .errors import BracketError, ConsistencyError, NumericalDomainError
 
@@ -66,7 +65,8 @@ def solve_lambda(epsilon, omega, g) -> LambdaSolution:
         raise BracketError(
             f"no sign change on [0, {hi}]: f(0)={f0:.3e}, f(hi)={f1:.3e}"
         )
-    lam = brentq(_lambda_eq, 0.0, hi, args=(epsilon, omega, g), xtol=1e-12, rtol=8.9e-16)
+    lam = scipy.optimize.brentq(_lambda_eq, 0.0, hi, args=(epsilon, omega, g),
+                                xtol=1e-12, rtol=8.9e-16)
     return LambdaSolution(lam, _lambda_eq(lam, epsilon, omega, g))
 
 
@@ -149,7 +149,7 @@ def grwa_partition(blocks, beta):
     if beta <= 0:
         raise NumericalDomainError(f"beta must be positive, got {beta}")
     ev = grwa_spectrum(blocks)
-    return logsumexp(-beta * ev)
+    return scipy.special.logsumexp(-beta * ev)
 
 
 def grwa_mean_jz(N, epsilon, omega, g, beta, n_max):

@@ -28,7 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+import scipy
 
 from .errors import ParameterError, QuadratureError
 
@@ -79,6 +79,8 @@ def map_residual_to_original(res: OhmicResidual, omega0, g):
         varsigma = 4.0 * omega0 * g**2
     except OverflowError:  # a Python float's ** raises where * would give inf
         raise ParameterError(f"g = {g} too large: the Lorentzian strength overflows") from None
+    if varsigma == 0.0:  # g**2 underflows
+        raise ParameterError(f"g = {g} too small: the Lorentzian strength underflows to 0")
     return LorentzianOriginal(
         varsigma=varsigma,
         Gamma_width=res.gamma * omega0,
@@ -92,9 +94,9 @@ def _quad_checked(f, a, b, tol, **kw):
     with warnings.catch_warnings():
         # the returned error estimate is checked below; roundoff chatter from
         # underflowing tails is not actionable
-        warnings.simplefilter("ignore", IntegrationWarning)
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
         try:
-            val, err = quad(f, a, b, limit=400, epsabs=tol, epsrel=tol, **kw)
+            val, err = scipy.integrate.quad(f, a, b, limit=400, epsabs=tol, epsrel=tol, **kw)
         except OverflowError as exc:  # from a Python float's ** in the density
             raise QuadratureError(f"the integrand overflows on [{a}, {b}]: {exc}") from None
     if err > 1e-5 * max(abs(val), 1.0):

@@ -141,8 +141,14 @@ def _blocks(p: ProbeParams, n_max, sector):
     element of H or Jz couples rows of unequal (m+J)+n parity, so each
     sector is solved as two blocks, even rows then odd.
     """
-    nb, sectors = n_max + 1, sector_multiplicities(p.N).sectors
-    for J, mult in sectors if sector == "full" else sectors[:1]:
+    operators._check_sector(p, p.N / 2, n_max)  # the largest sector, before any multiplicity
+    sectors = sector_multiplicities(p.N).sectors
+    try:  # every product with a multiplicity is taken in floats
+        sectors = [(J, float(mult)) for J, mult in (sectors if sector == "full" else sectors[:1])]
+    except OverflowError:
+        raise NumericalDomainError(f"N = {p.N}: a multiplicity does not fit a float") from None
+    nb = n_max + 1
+    for J, mult in sectors:
         H = cache(lambda J=J: build_mapped_hamiltonian(p, J, n_max).entries)
         i = np.arange(int(round(2 * J + 1)) * nb)
         parity = (i // nb + i % nb) % 2
@@ -186,19 +192,20 @@ def _count_below(ab, k, sigma):
     where its Cholesky factorization fails).  That complement is banded too.
     """
     b = len(ab) - 1
+    c = min(b, k)  # the columns of the leading rows that couple to the trailing ones
     A = ab[:, k:].copy()
     A[0] -= sigma
     chol, info = pbtrf(A, lower=1, overwrite_ab=1)
     if info:
         return None
-    C = np.zeros((A.shape[1], b))  # H[k:, k-b:k], nonzero in its first b rows
-    i, j = np.triu_indices(b)
-    C[i, j] = ab[b + i - j, k - b + j]
+    C = np.zeros((A.shape[1], c))  # H[k:, k-c:k], nonzero in its first b rows
+    i, j = np.nonzero(np.subtract.outer(np.arange(b), np.arange(c)) <= b - c)
+    C[i, j] = ab[c + i - j, k - c + j]
     corner = C[:b].T @ pbtrs(chol, C, lower=1)[0][:b]
     schur = ab[:, :k].copy()
     schur[0] -= sigma
-    for q in range(b):
-        schur[q, k - b : k - q] -= np.diagonal(corner, -q)
+    for q in range(c):
+        schur[q, k - c : k - q] -= np.diagonal(corner, -q)
     return int((eigvals_banded(schur, lower=True, check_finite=False) < 0).sum())
 
 
@@ -451,5 +458,6 @@ def reduced_probe_state(p: ProbeParams, beta, n_max, sector="full"):
         rho = np.einsum("ank,bnk,k->ab", U, U, np.exp(-beta * (E - e0)))
         blocks[J] = (mult, blocks[J][1] + rho if J in blocks else rho)
     total = sum(mult * np.trace(rho) for mult, rho in blocks.values())
-    labels = [(J, c) for J, (mult, _) in blocks.items() for c in range(mult)]
-    return block_diag(*(rho / total for mult, rho in blocks.values() for _ in range(mult))), labels
+    copies = [(J, int(mult), rho / total) for J, (mult, rho) in blocks.items()]
+    labels = [(J, c) for J, mult, _ in copies for c in range(mult)]
+    return block_diag(*(rho for _, mult, rho in copies for _ in range(mult))), labels

@@ -53,6 +53,15 @@ def test_eta_monotone_in_beta():
     assert solve_eta(p, 30.0) >= etas[-1]
 
 
+def test_eta_saturated_where_its_bracket_end_rounds_below_the_root():
+    # at mu = 0.694.. and beta*omega = 50, tanh(beta eps / (2 mu)) rounds to 1 and
+    # (1/mu)*mu to 1 - 2^-53, so f(1/mu) < 0: the root is 1/mu to rounding
+    p = DickeParams(epsilon=1.0, omega=1.0, gbar=0.6)
+    assert (1.0 / p.mu) * p.mu < 1.0
+    assert solve_eta(p, 50.0) == 1.0 / p.mu
+    assert dicke_solution(p, 50.0).eta == 1.0 / p.mu
+
+
 def test_eta_normal_phase_rejected():
     p = DickeParams(epsilon=3.0, omega=1.0, gbar=0.98)
     with pytest.raises(NumericalDomainError):
@@ -219,6 +228,24 @@ def test_bad_params_rejected(field, value):
     kwargs = {"epsilon": 0.5, "omega": 1.0, "gbar": 0.9, field: value}
     with pytest.raises(ParameterError, match="positive and finite"):
         DickeParams(**kwargs)
+
+
+@pytest.mark.parametrize("eps, gbar", [(1.0, 1e-300), (1.0, 1e300), (1e-300, 1e10)])
+def test_mu_beyond_a_float_rejected(eps, gbar):
+    # gbar^2 underflows or overflows, or mu is subnormal and 1/mu, eta's bound, is inf
+    with pytest.raises(ParameterError, match="leaves the float range"):
+        DickeParams(epsilon=eps, omega=1.0, gbar=gbar)
+
+
+def test_closed_forms_beyond_a_float_are_domain_errors():
+    # eps^2 overflows at the saddle, (eps^2 - omega^2)^2 in the excitation spectrum,
+    # and r = sqrt(eps^2 + 16 gbar^2 z^2) underflows to 0 in Phi''
+    with pytest.raises(NumericalDomainError, match="leaves the float range"):
+        dicke_solution(DickeParams(epsilon=1e300, omega=1.0, gbar=0.5), 5.0)
+    with pytest.raises(NumericalDomainError, match="leaves the float range"):
+        hp_excitations(DickeParams(epsilon=1e100, omega=1.0, gbar=0.5))
+    with pytest.raises(NumericalDomainError, match="leaves the float range"):
+        dicke_solution(DickeParams(epsilon=1e-200, omega=1.0, gbar=1e-100), 5.0)
 
 
 def test_gaussian_prefactor_survives_huge_beta():

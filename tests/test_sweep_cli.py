@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -251,6 +252,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["snr", "--N", "10", "--n-max", "3000", "--g", "0.2",
                  "--beta-omega", "5"]) == EXIT_DOMAIN
     assert "dim_cap" not in capsys.readouterr().err
+    # ... found before the multiplicities of 10^5 spins are built
+    t0 = time.perf_counter()
+    assert main(["snr", "--N", "100000", "--g", "0.2", "--beta-omega", "5"]) == EXIT_DOMAIN
+    assert time.perf_counter() - t0 < 1.0
+    assert "composite dimension 6500065 exceeds cap" in capsys.readouterr().err
+    # a sector multiplicity beyond a float
+    assert main(["snr", "--N", "1100", "--n-max", "1", "--g", "0.2",
+                 "--beta-omega", "5"]) == EXIT_DOMAIN
+    assert "does not fit a float" in capsys.readouterr().err
     # a Fock cutoff below 1
     assert main(["snr", "--n-max", "0", "--g", "0.3", "--beta-omega", "5"]) \
         == EXIT_DOMAIN
@@ -308,6 +318,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["map-spectral", "--g", "1e200"]) == EXIT_CONFIG
     assert main(["map-spectral", "--gamma", "1e300"]) == EXIT_DOMAIN
     assert "overflows" in capsys.readouterr().err
+    # and a g whose square underflows leaves no Lorentzian strength
+    assert main(["map-spectral", "--g", "1e-200"]) == EXIT_CONFIG
+    assert "g = 1e-200 too small" in capsys.readouterr().err
     assert main(["map-spectral", "--cutoff-ratios", "1e-300", "--grid-points", "3"]) == 0
     assert math.isfinite(_strict_json(capsys.readouterr().out)[0]["max_residual"])
     # fewer than one worker thread
@@ -322,6 +335,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     # a beta at which lnZ overflows a float: a domain error, not -Infinity
     assert main(point + ["1e308"]) == EXIT_DOMAIN
     assert "too large" in capsys.readouterr().err
+    # Dicke parameters beyond a float: mu = eps/(4 gbar^2) out of range is a config
+    # error, a closed form that overflows a domain error
+    for eps, gbar, code in (("1", "1e-300", EXIT_CONFIG), ("1", "1e300", EXIT_CONFIG),
+                            ("1e300", "0.5", EXIT_DOMAIN)):
+        assert main(["dicke", "--epsilon", eps, "--gbar", gbar, "--beta-omega", "5"]) == code
+    assert capsys.readouterr().err.count("leaves the float range") == 3
     # Dicke parameters out of their range are config errors, as for snr
     for flag, value in (("--N", "0"), ("--gbar", "0"), ("--epsilon", "-1")):
         assert main(point + ["5", flag, value]) == EXIT_CONFIG

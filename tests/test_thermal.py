@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigvals_banded
 
 from rcprobe import operators, thermal
 from rcprobe.baseline import weak_snr
@@ -583,6 +584,24 @@ def test_inertia_count_matches_dense(monkeypatch, N, eps, g, beta, n_max):
                 got = thermal._count_below(ab, k, sigma)
                 assert got == (np.sum(lam < sigma) if tail > sigma else None), (d, k, sigma)
     assert near > 0 or g != 0.002
+
+
+def test_inertia_count_with_a_band_wider_than_the_leading_block():
+    # at n_max = 1 a block's bandwidth is about J, above its leading block's
+    # 4*(d/20) + 4 columns (N = 1100: b = 550 against k = 224); then every
+    # leading column couples to the trailing rows
+    ab = operators._parity_band(ProbeParams(80, 1.0, 1.0, 0.2), 40.0, 1, 0)[0]
+    b, d = len(ab) - 1, ab.shape[1]
+    lam = eigvals_banded(ab, lower=True)
+    counted = 0
+    for k in (4, 4 * (d // 20) + 4, b - 1):
+        assert k < b
+        tail = eigvals_banded(ab[:, k:], lower=True)[0]
+        for sigma in (lam[:4] + lam[1:5]) / 2:
+            got = thermal._count_below(ab, k, sigma)
+            assert got == (np.sum(lam < sigma) if tail > sigma else None), (k, sigma)
+            counted += got is not None
+    assert counted >= 3
 
 
 def test_large_point_solves_no_whole_band(monkeypatch):
