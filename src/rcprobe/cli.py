@@ -112,7 +112,7 @@ def _cmd_snr(args):
         "delta_snr": pt.snr - pt.snr_weak,
         # snr_weak underflows to 0 at extreme temperatures; JSON has no Infinity
         "ratio": pt.snr / pt.snr_weak if pt.snr_weak > 0 else None,
-        "n_max": args.n_max, "p_top": pt.p_top, "converged": pt.converged,
+        "n_max": pt.n_max, "p_top": pt.p_top, "converged": pt.converged,
         # parity blocks solved dense, by window or skipped, and eigenstates kept
         "solver": pt.solver,
     }, indent=2))

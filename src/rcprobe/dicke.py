@@ -135,9 +135,13 @@ def _saddle(p: DickeParams, beta):
         phase, eta = SUPERRADIANT, solve_eta(p, beta)  # eta >= 1
         z0 = p.epsilon * math.sqrt(eta * eta - 1.0) / (4.0 * p.gbar)
     # N Phi and Phi'' grow as N beta times energies of order omega (1 + z0^2) + r;
-    # refuse a beta at which that product (doubled, for margin) leaves the float range
-    r = math.sqrt(p.epsilon**2 + 16.0 * p.gbar**2 * z0 * z0)
-    if not math.isfinite(2.0 * p.N * beta * (p.omega * (1.0 + z0 * z0) + r)):
+    # refuse a saddle whose energy, or a beta at which that product (doubled, for
+    # margin), leaves the float range
+    energy = p.omega * (1.0 + z0 * z0) + math.sqrt(p.epsilon**2 + 16.0 * p.gbar**2 * z0 * z0)
+    if not math.isfinite(energy):
+        raise NumericalDomainError(f"the saddle's energy overflows a float: z0 = {z0:.6g}, "
+                                  f"eta = {eta:.6g}")
+    if not math.isfinite(2.0 * p.N * beta * energy):
         raise NumericalDomainError(f"beta = {beta} too large: lnZ overflows a float")
     return phase, tc, eta, z0
 

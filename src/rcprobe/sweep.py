@@ -53,7 +53,7 @@ from .dicke import DickeParams, dicke_solution
 from .errors import ConfigError, NumericalDomainError, ParameterError, RcprobeError
 from .grwa import asymptotic_snr, ground_energy_derivs
 from .operators import ProbeParams
-from .thermal import _point, _sector_data, converge_nmax
+from .thermal import SnrPoint, _point, _sector_data, converge_nmax
 
 COLUMNS = (
     "grid_value",
@@ -224,37 +224,29 @@ def _point_params(cfg: SweepConfig, x):
 
 
 def _row(cfg: SweepConfig, x, spectra=None):
-    """One output row.  `spectra` is the shared solve of a fixed-cutoff beta sweep;
-    a point that raises RcprobeError gives NaN values and converged false."""
+    """One output row, read from one SnrPoint.  `spectra` is the shared solve of a fixed-cutoff
+    beta sweep; a point that raises RcprobeError gives NaN values and converged false."""
     p, beta = _point_params(cfg, x)
     phase = eta = ""
-    n_used = 0
-    converged = True
+    fixed = cfg.model == "rabi_exact" and cfg.n_max != "auto"
     try:
         if cfg.model == "weak":
-            snr = sw = weak_snr(p.N, p.epsilon, beta).snr
+            sw = weak_snr(p.N, p.epsilon, beta).snr
+            pt = SnrPoint(beta, sw, sw)
         elif cfg.model == "dicke":
             sol = dicke_solution(p, beta)
-            snr, sw, phase, eta = sol.snr, sol.snr_weak, sol.phase, sol.eta
-        elif cfg.model == "rabi_exact" and cfg.n_max != "auto":
-            # a fixed cutoff, judged by its top level's population
-            n_used = cfg.n_max
-            pt = _point(p, spectra or _sector_data(p, n_used, cfg.sector, beta), beta, cfg.noise)
-            snr, sw, converged = pt.snr, pt.snr_weak, pt.converged
-        else:
-            if cfg.model == "grwa":
-                derivs = ground_energy_derivs(p.N, p.epsilon, 1.0, p.g)
-                snr = asymptotic_snr(p.N, derivs, beta)
-            else:  # rabi_exact, n_max = auto; the loop accepts only a converged cutoff
-                n_used, snr = converge_nmax(p, beta, noise=cfg.noise, sector=cfg.sector)
-            sw = weak_snr(p.N, p.epsilon, beta).snr
-        delta = snr - sw
-    except RcprobeError:
-        snr = sw = delta = float("nan")
-        converged = False
+            pt, phase, eta = SnrPoint(beta, sol.snr, sol.snr_weak), sol.phase, sol.eta
+        elif cfg.model == "grwa":
+            s = asymptotic_snr(p.N, ground_energy_derivs(p.N, p.epsilon, 1.0, p.g), beta)
+            pt = SnrPoint(beta, s, weak_snr(p.N, p.epsilon, beta).snr)
+        else:  # a fixed cutoff, or the first converged one of the doubling loop
+            pt = (_point(p, spectra or _sector_data(p, cfg.n_max, cfg.sector, beta), beta,
+                         cfg.noise) if fixed else converge_nmax(p, beta, cfg.noise, cfg.sector))
+    except RcprobeError:  # a fixed-cutoff row keeps its cutoff
+        pt = SnrPoint(beta, np.nan, np.nan, cfg.n_max if fixed else 0, converged=False)
     return {
-        "grid_value": x, "beta_omega": beta, "snr": snr, "snr_weak": sw,
-        "delta_snr": delta, "n_max": n_used, "converged": converged,
+        "grid_value": x, "beta_omega": beta, "snr": pt.snr, "snr_weak": pt.snr_weak,
+        "delta_snr": pt.snr - pt.snr_weak, "n_max": pt.n_max, "converged": pt.converged,
         "phase": phase, "eta": eta,
     }
 

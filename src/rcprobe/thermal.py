@@ -80,6 +80,9 @@ NEAR = 1e-2  # Kubo pairs closer than NEAR*omega are summed directly at each bet
 # parity blocks of at least D_WINDOW rows may be skipped or solved by window;
 # either drops only states of Gibbs weight below CUT relative to the ground state's
 D_WINDOW, CUT = 256, 1e-16
+# the least N with a sector multiplicity beyond the float range; the largest multiplicity
+# never falls as N grows, since adding a spin carries mult(J) into J + 1/2
+N_FLOAT = 1035
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,7 @@ class SnrPoint:
     beta: float
     snr: float
     snr_weak: float
+    n_max: int = 0  # the Fock cutoff of the solve; 0 where there is none, as for dicke points
     p_top: float = 0.0  # as ThermalObservables.p_top, from the same solve
     solver: dict | None = None  # how the solve was split: see Spectra
     converged: bool = True  # cutoff_converged(p_top); no cutoff, as for dicke points: True
@@ -142,11 +146,10 @@ def _blocks(p: ProbeParams, n_max, sector):
     sector is solved as two blocks, even rows then odd.
     """
     operators._check_sector(p, p.N / 2, n_max)  # the largest sector, before any multiplicity
+    if sector == "full" and p.N >= N_FLOAT:  # every product with a multiplicity is in floats
+        raise NumericalDomainError(f"N = {p.N}: a multiplicity does not fit a float")
     sectors = sector_multiplicities(p.N).sectors
-    try:  # every product with a multiplicity is taken in floats
-        sectors = [(J, float(mult)) for J, mult in (sectors if sector == "full" else sectors[:1])]
-    except OverflowError:
-        raise NumericalDomainError(f"N = {p.N}: a multiplicity does not fit a float") from None
+    sectors = [(J, float(mult)) for J, mult in (sectors if sector == "full" else sectors[:1])]
     nb = n_max + 1
     for J, mult in sectors:
         H = cache(lambda J=J: build_mapped_hamiltonian(p, J, n_max).entries)
@@ -309,6 +312,7 @@ class Spectra(NamedTuple):
     t: np.ndarray  # the eigenvector's weight on the top Fock level n_max
     near: tuple  # (i, E_j - E_i, M_ij^2) of the pairs i < j of a block closer than NEAR*omega
     solver: dict  # parity blocks solved dense, by window and skipped, and states kept
+    n_max: int  # the Fock cutoff solved at
 
 
 def _sector_data(p: ProbeParams, n_max, sector="full", beta=0.0) -> Spectra:
@@ -343,13 +347,17 @@ def _sector_data(p: ProbeParams, n_max, sector="full", beta=0.0) -> Spectra:
         solver["states"] += len(E)
         e0 = min(e0, E[0])
     mult, E, d1, r, R, t, i, gap, m2 = (np.concatenate(a) for a in zip(*recs))
-    return Spectra(mult, E, d1, r, R, t, (i, gap, m2), solver)
+    return Spectra(mult, E, d1, r, R, t, (i, gap, m2), solver, n_max)
 
 
 def _combine(s: Spectra, beta):
     """Gibbs state at one beta from a solve's record, in O(states)."""
     if not 0 < beta < np.inf:
         raise NumericalDomainError(f"beta must be positive and finite, got {beta}")
+    with np.errstate(over="ignore"):
+        kubo = 2 / beta  # the Kubo sum's prefactor
+    if kubo == np.inf:  # beta below ~1.1e-308, where inf * 0 would make Var_Kubo nan
+        raise NumericalDomainError(f"beta = {beta} too small: 2/beta overflows a float")
     e0 = s.E.min()
     with np.errstate(over="ignore"):  # beta (E - e0) beyond the float range: weight 0
         w = s.mult * np.exp(-beta * (s.E - e0))
@@ -360,9 +368,9 @@ def _combine(s: Spectra, beta):
     m1 = w @ s.d1 / zt
     diag = w @ (s.d1 - m1) ** 2
     varp = diag + w @ s.r
-    with np.errstate(over="ignore"):  # 2/beta overflows at a denormal beta
-        vark = diag + (2 / beta) * (w @ s.R)
-        lost = np.finfo(float).eps * (2 / beta) * (w @ np.abs(s.R))  # a bound on its rounding
+    with np.errstate(over="ignore"):  # at a tiny beta; an infinite Var_Kubo is refused below
+        vark = diag + kubo * (w @ s.R)
+        lost = np.finfo(float).eps * kubo * (w @ np.abs(s.R))  # a bound on its rounding
     i, gap, m2 = s.near
     if len(i):
         vark += 2 * m2 @ (w[i] * _phi(beta * gap))
@@ -386,8 +394,10 @@ def djz_deps(p: ProbeParams, beta, n_max, sector="full"):
     return -beta * thermal_observables(p, beta, n_max, sector).var_Jz_kubo
 
 
-def _snr(p: ProbeParams, obs: ThermalObservables, noise):
-    """S = |d<Jz>/d eps|^2 / Var(Jz) from one point's thermal observables."""
+def _point(p: ProbeParams, spectra: Spectra, beta, noise) -> SnrPoint:
+    """SnrPoint at one beta from a solve's record, with the cutoff verdict of that solve:
+    S = |d<Jz>/d eps|^2 / Var(Jz), d<Jz>/d eps = -beta Var_Kubo."""
+    obs = _combine(spectra, beta)
     if noise not in NOISE_CHANNELS:
         raise NumericalDomainError(f"unknown noise channel {noise!r}")
     if noise == "auto":
@@ -397,43 +407,36 @@ def _snr(p: ProbeParams, obs: ThermalObservables, noise):
         raise NumericalDomainError(
             f"variance {var:.3e} degenerate (T -> 0 with a pure Jz eigenstate)"
         )
-    slope = -obs.beta * obs.var_Jz_kubo
-    return slope * slope / var
-
-
-def _point(p: ProbeParams, spectra: Spectra, beta, noise) -> SnrPoint:
-    """SnrPoint at one beta from a solve's record, with the cutoff verdict of that solve."""
-    obs = _combine(spectra, beta)
-    return SnrPoint(beta=beta, snr=_snr(p, obs, noise),
-                    snr_weak=weak_snr(p.N, p.epsilon, beta).snr, p_top=obs.p_top,
-                    solver=spectra.solver, converged=cutoff_converged(obs.p_top))
+    slope = -beta * obs.var_Jz_kubo
+    return SnrPoint(beta=beta, snr=slope * slope / var,
+                    snr_weak=weak_snr(p.N, p.epsilon, beta).snr, n_max=spectra.n_max,
+                    p_top=obs.p_top, solver=spectra.solver, converged=cutoff_converged(obs.p_top))
 
 
 def snr_exact(p: ProbeParams, beta, n_max=128, noise="auto", sector="full"):
     """Exact SNR S = |d<Jz>/d eps|^2 / noise at one parameter point.
 
     `noise` selects the variance channel (see module docstring).  Returns
-    SnrPoint(beta, snr, snr_weak, p_top, solver, converged); snr_weak is the
-    closed-form g = 0 value, p_top the top Fock level's population, solver
-    how the blocks were solved (see Spectra), converged cutoff_converged(p_top).
+    SnrPoint(beta, snr, snr_weak, n_max, p_top, solver, converged); snr_weak is the
+    closed-form g = 0 value, p_top the top Fock level's population, solver how
+    the blocks were solved (see Spectra), converged cutoff_converged(p_top).
     """
     return _point(p, _sector_data(p, n_max, sector, beta), beta, noise)
 
 
-def converge_nmax(p: ProbeParams, beta, noise="auto", sector="full"):
-    """First accepted n_max in a doubling sequence, and the snr there.
+def converge_nmax(p: ProbeParams, beta, noise="auto", sector="full") -> SnrPoint:
+    """The SnrPoint of the first accepted n_max in a doubling sequence.
 
-    Returns (n_max, snr): the first cutoff from NMAX_START at which the fitted
-    truncation estimate TOP_C * p_top is below REL_TOL (cutoff_converged), and
-    the snr of that one solve.  The doubling stops at NMAX_CAP, or where the
-    next cutoff's largest sector would exceed operators.DIM_CAP, with a
-    ConvergenceError.
+    That is the first cutoff from NMAX_START at which the fitted truncation
+    estimate TOP_C * p_top is below REL_TOL (cutoff_converged); S is formed
+    at it alone.  The doubling stops at NMAX_CAP, or where the next cutoff's
+    largest sector would exceed operators.DIM_CAP, with a ConvergenceError.
     """
     n = NMAX_START
     while n <= NMAX_CAP and (p.N + 1) * (n + 1) <= operators.DIM_CAP:
-        obs = thermal_observables(p, beta, n, sector)
-        if cutoff_converged(obs.p_top):
-            return n, _snr(p, obs, noise)
+        spectra = _sector_data(p, n, sector, beta)
+        if cutoff_converged(_combine(spectra, beta).p_top):  # O(states), beside the solve
+            return _point(p, spectra, beta, noise)
         n *= 2
     raise ConvergenceError(f"n_max not converged by {n // 2} at beta={beta}, g={p.g}")
 

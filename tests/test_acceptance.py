@@ -101,7 +101,7 @@ def test_criterion_03_circuit_enhancement():
     t0 = time.monotonic()
     ru = convert_units(3.84, 5.588, 5.63, 45.0)
     p = ProbeParams(N=1, epsilon=ru.epsilon, omega=1.0, g=ru.g)
-    n, _ = converge_nmax(p, ru.beta_omega)
+    n = converge_nmax(p, ru.beta_omega).n_max
     pt = snr_exact(p, ru.beta_omega, n_max=n)
     ratio = pt.snr / pt.snr_weak
     dt = time.monotonic() - t0

@@ -257,10 +257,13 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["snr", "--N", "100000", "--g", "0.2", "--beta-omega", "5"]) == EXIT_DOMAIN
     assert time.perf_counter() - t0 < 1.0
     assert "composite dimension 6500065 exceeds cap" in capsys.readouterr().err
-    # a sector multiplicity beyond a float
-    assert main(["snr", "--N", "1100", "--n-max", "1", "--g", "0.2",
-                 "--beta-omega", "5"]) == EXIT_DOMAIN
-    assert "does not fit a float" in capsys.readouterr().err
+    # a sector multiplicity beyond a float, decided from N before any binomial is built
+    for N in ("1100", "9999"):
+        t0 = time.perf_counter()
+        assert main(["snr", "--N", N, "--n-max", "1", "--g", "0.2",
+                     "--beta-omega", "5"]) == EXIT_DOMAIN
+        assert time.perf_counter() - t0 < 1.0
+        assert "does not fit a float" in capsys.readouterr().err
     # a Fock cutoff below 1
     assert main(["snr", "--n-max", "0", "--g", "0.3", "--beta-omega", "5"]) \
         == EXIT_DOMAIN
@@ -301,6 +304,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     for beta in ("1e-50", "1e-300", "1e-310"):
         assert main(["snr", "--g", "0.3", "--beta-omega", beta]) == EXIT_DOMAIN
     assert capsys.readouterr().out == ""
+    # a beta whose 2/beta overflows, also where every R_i is 0: refused by name, no warning
+    for g in ("0", "1e-9"):
+        assert main(["snr", "--g", g, "--beta-omega", "1e-320", "--n-max", "8"]) == EXIT_DOMAIN
+    out = capsys.readouterr()
+    assert out.out == "" and "Warning" not in out.err
+    assert out.err.count("beta = 1e-320 too small: 2/beta overflows a float") == 2
     # a quadrature tolerance that is not positive
     assert main(["map-spectral", "--tol", "0"]) == EXIT_CONFIG
     assert "quadrature_tol" in capsys.readouterr().err
@@ -341,6 +350,11 @@ def test_cli_exit_codes(tmp_path, capsys):
                             ("1e300", "0.5", EXIT_DOMAIN)):
         assert main(["dicke", "--epsilon", eps, "--gbar", gbar, "--beta-omega", "5"]) == code
     assert capsys.readouterr().err.count("leaves the float range") == 3
+    # a saddle beyond a float: eta ~ 1/mu = 4e300 squared, at any beta
+    assert main(["dicke", "--epsilon", "1e-300", "--gbar", "1", "--beta-omega", "5"]) \
+        == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "the saddle's energy overflows a float" in err and "beta" not in err
     # Dicke parameters out of their range are config errors, as for snr
     for flag, value in (("--N", "0"), ("--gbar", "0"), ("--epsilon", "-1")):
         assert main(point + ["5", flag, value]) == EXIT_CONFIG
@@ -418,8 +432,24 @@ def test_auto_rows_keep_the_convergence_loop_verdict():
     for row in run_sweep(cfg):
         p = ProbeParams(N=1, epsilon=1.5, omega=1.0, g=row["grid_value"])
         assert row["converged"] is True
-        assert (row["n_max"], row["snr"]) == converge_nmax(p, 1.5)
+        pt = converge_nmax(p, 1.5)
+        assert (row["n_max"], row["snr"], row["snr_weak"]) == (pt.n_max, pt.snr, pt.snr_weak)
         assert row["snr"] == snr_exact(p, 1.5, n_max=row["n_max"]).snr
+
+
+@pytest.mark.parametrize("n_max, want", [("8", 8), ("auto", 0)])
+def test_failing_exact_rows_keep_their_cutoff(n_max, want):
+    # a fixed-cutoff row that fails keeps the configured cutoff; an auto row, which
+    # never accepted one, keeps 0
+    cfg = parse_config_text(
+        "schema_version = 1\nmodel = rabi_exact\nN = 2\nepsilon = 1\ng = 0.3\n"
+        f"grid_axis = beta_omega\ngrid_values = 1e-300, 2, 1e300\nn_max = {n_max}\n"
+    )
+    rows = run_sweep(cfg)
+    for row in (rows[0], rows[2]):
+        assert math.isnan(row["snr"]) and row["converged"] is False
+        assert row["n_max"] == want
+    assert math.isfinite(rows[1]["snr"]) and rows[1]["n_max"] == (8 if want else 16)
 
 
 def _fixed_cutoff_config(axis, values, N=2, n_max=16):

@@ -13,8 +13,8 @@ from rcprobe.operators import ProbeParams, build_mapped_hamiltonian, sector_mult
 from rcprobe.thermal import (
     _combine,
     _parity_blocks,
+    _point,
     _sector_data,
-    _snr,
     converge_nmax,
     djz_deps,
     eigendecompose,
@@ -184,16 +184,16 @@ def test_truncation_cauchy_convergence():
 
 def test_converge_nmax_behaviour():
     p0 = ProbeParams(N=1, epsilon=1.0, omega=1.0, g=0.0)
-    assert converge_nmax(p0, 5.0)[0] == 16
+    assert converge_nmax(p0, 5.0).n_max == 16
     # larger coupling needs a bigger cutoff (monotone)
     ns = [
-        converge_nmax(ProbeParams(N=1, epsilon=1.0, omega=1.0, g=g), 5.0)[0]
+        converge_nmax(ProbeParams(N=1, epsilon=1.0, omega=1.0, g=g), 5.0).n_max
         for g in (0.1, 0.5, 1.0)
     ]
     assert ns[0] <= ns[1] <= ns[2]
     # higher temperature needs a bigger cutoff
     ms = [
-        converge_nmax(ProbeParams(N=1, epsilon=1.0, omega=1.0, g=0.3), b)[0]
+        converge_nmax(ProbeParams(N=1, epsilon=1.0, omega=1.0, g=0.3), b).n_max
         for b in (10.0, 1.0, 0.1)
     ]
     assert ms[0] <= ms[1] <= ms[2]
@@ -239,7 +239,8 @@ def test_cutoff_rule_holds_on_a_seeded_grid():
                     if thermal.TOP_C * obs.p_top >= 1e-6:
                         continue
                     accepted += 1
-                    s, s_ref = _snr(p, obs, "auto"), _snr(p, ref, "auto")
+                    s = _point(p, data[n], beta, "auto").snr
+                    s_ref = _point(p, data[2 * n], beta, "auto").snr
                     assert abs(s - s_ref) <= 1e-6 * abs(s_ref), (N, g, beta, n)
                     assert abs(obs.mean_Jz - ref.mean_Jz) <= 1e-6 * abs(ref.mean_Jz)
                     assert abs(obs.lnZ - ref.lnZ) <= 1e-8 * max(abs(ref.lnZ), 1.0)
@@ -247,13 +248,26 @@ def test_cutoff_rule_holds_on_a_seeded_grid():
     assert 300 < accepted < 4 * 6 * 4 * 6
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_converge_nmax_returns_the_snr_exact_point_at_its_cutoff(seed):
+    # the loop's record is the one solve at the accepted cutoff, field for field
+    rng = np.random.default_rng(seed)
+    N, g = int(rng.integers(1, 5)), float(rng.uniform(0.3, 1.2))
+    beta = float(np.exp(rng.uniform(np.log(0.1), np.log(30.0))))  # cutoffs 16 to 256
+    p = ProbeParams(N=N, epsilon=float(rng.uniform(0.5, 1.5)), omega=1.0, g=g)
+    pt = converge_nmax(p, beta)
+    assert pt.converged and pt.n_max >= thermal.NMAX_START
+    assert pt == snr_exact(p, beta, n_max=pt.n_max)
+
+
 def test_converge_nmax_at_strong_coupling_and_large_n():
     # gbar = sqrt(N) g / 2 = 0.8 at beta*omega = 20: the loop stops at 32, and
     # the snr there is within the fitted estimate of the one at n_max = 128
     p = ProbeParams(N=16, epsilon=1.0, omega=1.0, g=0.4)
-    n, snr = converge_nmax(p, 20.0)
-    assert n == 32
-    err = abs(snr - snr_exact(p, 20.0, n_max=128).snr) / snr
+    pt = converge_nmax(p, 20.0)
+    assert pt.n_max == 32
+    assert pt.solver["window"] > 0 and pt == snr_exact(p, 20.0, n_max=32)
+    err = abs(pt.snr - snr_exact(p, 20.0, n_max=128).snr) / pt.snr
     assert err < thermal.TOP_C * thermal_observables(p, 20.0, 32).p_top < 1e-6
 
 
@@ -410,13 +424,42 @@ def test_nonfinite_or_nonpositive_beta_rejected(beta):
 
 
 @pytest.mark.parametrize("N, g, beta", [(1, 0.3, 1e-50), (2, 0.5, 1e-20),
-                                        (1, 0.3, np.float64(1e-310))])
+                                        (1, 0.3, np.float64(1e-307))])
 def test_kubo_sum_without_precision_rejected(N, g, beta):
     # (2/beta) sum_i w_i R_i cancels as beta -> 0: +2.6e32 relative at N = 1,
-    # negative at N = 2, and 2/beta overflows at a denormal beta
+    # negative at N = 2, and overflows a float at beta = 1e-307, where 2/beta is finite
     p = ProbeParams(N=N, epsilon=1.0, omega=1.0, g=g)
     with pytest.raises(NumericalDomainError, match="rounding bound"):
         thermal_observables(p, beta, 32)
+
+
+@pytest.mark.parametrize("g", [0.0, 1e-9, 0.3])
+@pytest.mark.parametrize("beta", [1e-320, np.float64(1e-310)])
+def test_beta_whose_kubo_prefactor_overflows_rejected(g, beta):
+    # 2/beta overflows below beta ~ 1.1e-308; at g = 0 every R_i is 0, and inf * 0
+    # would leave Var_Kubo nan with a RuntimeWarning, an error under the suite's filter
+    p = ProbeParams(N=1, epsilon=1.0, omega=1.0, g=g)
+    with pytest.raises(NumericalDomainError, match=f"beta = {beta} too small"):
+        snr_exact(p, beta, n_max=8)
+
+
+def test_multiplicities_fit_a_float_below_n_float():
+    # _blocks refuses N >= N_FLOAT from N alone; the largest multiplicity first
+    # leaves the float range there
+    def largest(N):
+        return max(mult for _, mult in sector_multiplicities(N).sectors)
+
+    assert math.isfinite(float(largest(thermal.N_FLOAT - 1)))
+    with pytest.raises(OverflowError):
+        float(largest(thermal.N_FLOAT))
+    # adding a spin carries mult(J) into J + 1/2, so the largest one never falls
+    for N in range(1, 40):
+        assert largest(N + 1) >= largest(N)
+    # maximal takes J = N/2 alone, of multiplicity 1, and proceeds at any N
+    big = ProbeParams(N=thermal.N_FLOAT, epsilon=1.0, omega=1.0, g=0.2)
+    with pytest.raises(NumericalDomainError, match="does not fit a float"):
+        next(thermal._blocks(big, 1, "full"))
+    assert next(thermal._blocks(big, 1, "maximal"))[1] == 1.0
 
 
 def _seeded_window_points(count, seed=2026):
@@ -457,7 +500,8 @@ def test_window_records_match_dense(N, eps, g, beta, n_max):
     got, ref = _combine(window, beta), _combine(dense, beta)
     for name in ("lnZ", "mean_Jz", "var_Jz", "var_Jz_kubo"):
         assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-10), name
-    assert _snr(p, got, "auto") == pytest.approx(_snr(p, ref, "auto"), rel=1e-10)
+    assert _point(p, window, beta, "auto").snr == pytest.approx(
+        _point(p, dense, beta, "auto").snr, rel=1e-10)
     if ref.p_top >= 1e-12:
         assert got.p_top == pytest.approx(ref.p_top, rel=1e-8)
     else:  # it reads the window vectors' rounding, ~1e-29 per entry at the top level
@@ -540,7 +584,7 @@ def test_large_point_solves_only_small_blocks_densely(monkeypatch):
     monkeypatch.undo()
     # J = 1, 0 dense; the 8 blocks of J = 5 .. 2 (d >= D_WINDOW) windowed or skipped
     assert (got.solver["dense"], got.solver["window"] + got.solver["skipped"]) == (4, 8)
-    ref = _snr(p, _combine(_sector_data(p, 128), 20.0), "auto")
+    ref = _point(p, _sector_data(p, 128), 20.0, "auto").snr
     assert got.snr == pytest.approx(ref, rel=1e-12)
 
 
