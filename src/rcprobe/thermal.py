@@ -61,9 +61,7 @@ from functools import cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag, eigvals_banded
-from scipy.linalg.blas import dsbmv as sbmv
-from scipy.linalg.lapack import dgbtrf as gbtrf, dgbtrs as gbtrs, dpbtrf as pbtrf, dpbtrs as pbtrs
+import scipy
 
 from . import operators
 from .baseline import weak_snr
@@ -148,8 +146,8 @@ def _blocks(p: ProbeParams, n_max, sector):
     operators._check_sector(p, p.N / 2, n_max)  # the largest sector, before any multiplicity
     if sector == "full" and p.N >= N_FLOAT:  # every product with a multiplicity is in floats
         raise NumericalDomainError(f"N = {p.N}: a multiplicity does not fit a float")
-    sectors = sector_multiplicities(p.N).sectors
-    sectors = [(J, float(mult)) for J, mult in (sectors if sector == "full" else sectors[:1])]
+    sectors = ([(J, float(mult)) for J, mult in sector_multiplicities(p.N).sectors]
+               if sector == "full" else [(p.N / 2, 1.0)])
     nb = n_max + 1
     for J, mult in sectors:
         H = cache(lambda J=J: build_mapped_hamiltonian(p, J, n_max).entries)
@@ -198,18 +196,18 @@ def _count_below(ab, k, sigma):
     c = min(b, k)  # the columns of the leading rows that couple to the trailing ones
     A = ab[:, k:].copy()
     A[0] -= sigma
-    chol, info = pbtrf(A, lower=1, overwrite_ab=1)
+    chol, info = scipy.linalg.lapack.dpbtrf(A, lower=1, overwrite_ab=1)
     if info:
         return None
     C = np.zeros((A.shape[1], c))  # H[k:, k-c:k], nonzero in its first b rows
     i, j = np.nonzero(np.subtract.outer(np.arange(b), np.arange(c)) <= b - c)
     C[i, j] = ab[c + i - j, k - c + j]
-    corner = C[:b].T @ pbtrs(chol, C, lower=1)[0][:b]
+    corner = C[:b].T @ scipy.linalg.lapack.dpbtrs(chol, C, lower=1)[0][:b]
     schur = ab[:, :k].copy()
     schur[0] -= sigma
     for q in range(c):
         schur[q, k - c : k - q] -= np.diagonal(corner, -q)
-    return int((eigvals_banded(schur, lower=True, check_finite=False) < 0).sum())
+    return int((scipy.linalg.eigvals_banded(schur, lower=True, check_finite=False) < 0).sum())
 
 
 def _states(ab, jz, top, mu, sigma, omega):
@@ -224,7 +222,7 @@ def _states(ab, jz, top, mu, sigma, omega):
     Q the projection off the kept states, from the same factorization.
     """
     (b, d), w = (len(ab) - 1, ab.shape[1]), len(mu)
-    # the full band with room for the LU fill-in, as gbtrf takes it
+    # the full band with room for the LU fill-in, as dgbtrf takes it
     full = np.zeros((3 * b + 1, d))
     for q in range(b + 1):
         full[2 * b - q, q:] = full[2 * b + q, : d - q] = ab[q, : d - q]
@@ -237,14 +235,14 @@ def _states(ab, jz, top, mu, sigma, omega):
         for _ in range(4):
             shifted = full.copy()
             shifted[2 * b] -= e - delta
-            lu, piv, info = gbtrf(shifted, b, b, overwrite_ab=True)
+            lu, piv, info = scipy.linalg.lapack.dgbtrf(shifted, b, b, overwrite_ab=True)
             if info:
                 return None
             for _ in range(2):
-                x = gbtrs(lu, b, b, x, piv)[0]
+                x = scipy.linalg.lapack.dgbtrs(lu, b, b, x, piv)[0]
                 x -= V[:, :i] @ (V[:, :i].T @ x)
                 x /= np.linalg.norm(x)
-            hx = sbmv(b, 1.0, ab, x, lower=1)
+            hx = scipy.linalg.blas.dsbmv(b, 1.0, ab, x, lower=1)
             E[i], V[:, i] = x @ hx, x
             if abs(E[i] - e) <= delta:
                 break
@@ -260,7 +258,7 @@ def _states(ab, jz, top, mu, sigma, omega):
     U -= V @ (V.T @ U)  # Q Jz v_i
     R = np.empty(w)
     for i, (lu, piv, eta) in enumerate(factors):
-        x = gbtrs(lu, b, b, U[:, i], piv)[0]
+        x = scipy.linalg.lapack.dgbtrs(lu, b, b, U[:, i], piv)[0]
         x -= V @ (V.T @ x)
         # <u|x> is the resolvent at E_i - eta; eta <x|x> restores it to first order
         R[i] = U[:, i] @ x + eta * (x @ x)
@@ -286,7 +284,7 @@ def _window(ab, jz, top, mult, beta, e0, lb, omega):
     """
     d, most = ab.shape[1], ab.shape[1] // 20
     for k in (4 * most + 4, d):
-        mu = eigvals_banded(ab[:, :k], lower=True, check_finite=False)[: most + 1]
+        mu = scipy.linalg.eigvals_banded(ab[:, :k], lower=True, check_finite=False)[: most + 1]
         # the least energy of state j = 1 .. most for a cut below it to drop less than CUT
         floor = np.log(mult * (d - np.arange(1, most + 1)) / CUT) / beta
         if mu[most] <= min(e0, lb) + floor[-1]:
@@ -331,7 +329,8 @@ def _sector_data(p: ProbeParams, n_max, sector="full", beta=0.0) -> Spectra:
         if d >= D_WINDOW and 0 < beta < np.inf:
             ab, m, n = operators._parity_band(p, J, n_max, k)
             # Gershgorin: min_i H_ii - sum_{j != i} |H_ij| = 2 H_ii - (H 1)_i, as no H_ij < 0
-            lb = (2 * ab[0] - sbmv(len(ab) - 1, 1.0, ab, np.ones(d), lower=1)).min()
+            h1 = scipy.linalg.blas.dsbmv(len(ab) - 1, 1.0, ab, np.ones(d), lower=1)
+            lb = (2 * ab[0] - h1).min()
             with np.errstate(over="ignore"):
                 if beta * (lb - e0) > np.log(mult * d / CUT):
                     solver["skipped"] += 1
@@ -463,4 +462,4 @@ def reduced_probe_state(p: ProbeParams, beta, n_max, sector="full"):
     total = sum(mult * np.trace(rho) for mult, rho in blocks.values())
     copies = [(J, int(mult), rho / total) for J, (mult, rho) in blocks.items()]
     labels = [(J, c) for J, mult, _ in copies for c in range(mult)]
-    return block_diag(*(rho for _, mult, rho in copies for _ in range(mult))), labels
+    return scipy.linalg.block_diag(*(rho for _, mult, rho in copies for _ in range(mult))), labels

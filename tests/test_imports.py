@@ -1,7 +1,12 @@
-"""SciPy's optimize, integrate and special load only on the paths that call them.
+"""SciPy's linalg, optimize, integrate and special load only on the paths that call them.
 
-Each check runs in a fresh interpreter: the test modules import scipy.special
-and scipy.integrate themselves.
+rcprobe imports only the top-level scipy and names each function where it
+calls it, so SciPy's lazy submodule loading brings a submodule in at its
+first call.  scipy.linalg is called only by thermal's window route (a parity
+block of d >= D_WINDOW at a finite beta) and by reduced_probe_state, so the
+exact figures and a dense snr never load it.  Each check runs in a fresh
+interpreter: the test modules import scipy.linalg, scipy.special and
+scipy.integrate themselves.
 """
 
 import json
@@ -10,8 +15,10 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-LAZY = ("scipy.optimize", "scipy.integrate", "scipy.special")
+LAZY = ("scipy.linalg", "scipy.optimize", "scipy.integrate", "scipy.special")
 
 PRELUDE = f"""
 import contextlib, io, json, sys
@@ -44,23 +51,43 @@ assert run("reproduce", "fig2a", "--out", sys.argv[1]) == 0
 steps["reproduce"] = loaded()
 assert run("snr", "--N", "2", "--g", "0.3", "--beta-omega", "5", "--n-max", "16") == 0
 steps["snr"] = loaded()
+assert run("snr", "--N", "10", "--g", "0.2", "--beta-omega", "20", "--n-max", "128") == 0
+steps["window snr"] = loaded()
 assert run("dicke", "--epsilon", "0.5", "--gbar", "0.9", "--beta-omega", "5") == 0
 steps["dicke"] = loaded()
 assert run("map-spectral", "--cutoff-ratios", "100", "--grid-points", "2") == 0
 steps["map-spectral"] = loaded()
 """, str(tmp_path / "fig2a.csv"))
     assert steps["import"] == steps["reproduce"] == steps["snr"] == []
+    assert steps["window snr"] == ["scipy.linalg"]  # its d >= D_WINDOW blocks are banded
     assert "scipy.optimize" in steps["dicke"]  # the superradiant eta is a brentq root
     assert "scipy.integrate" in steps["map-spectral"]
 
 
-def test_first_optimize_import_on_a_worker_thread_gives_the_serial_rows():
-    steps = _steps("""
-cfg = sweep.parse_config_text(cli.figure_config_text("figS1"))
+# rabi_exact at N = 10, n_max = 128, beta*omega = 20: every point has window-route blocks
+WINDOW_SWEEP = """schema_version = 1
+model = rabi_exact
+N = 10
+epsilon = 1.0
+grid_axis = g_over_omega
+grid_values = 0.1, 0.2, 0.3, 0.4
+beta_omega = 20
+n_max = 128
+"""
+
+
+# the first call into each module may come from either worker of run_sweep(jobs=2)
+@pytest.mark.parametrize("config, module", [
+    ('cli.figure_config_text("figS1")', "scipy.optimize"),  # grwa: lambda is a brentq root
+    (repr(WINDOW_SWEEP), "scipy.linalg"),
+], ids=("optimize", "linalg"))
+def test_first_scipy_import_on_a_worker_thread_gives_the_serial_rows(config, module):
+    steps = _steps(f"""
+cfg = sweep.parse_config_text({config})
 threaded = sweep.emit_csv(sweep.run_sweep(cfg, jobs=2))
 steps["threaded"] = loaded()
 steps["equal"] = threaded == sweep.emit_csv(sweep.run_sweep(cfg, jobs=1))
 """)
     assert steps["import"] == []
-    assert "scipy.optimize" in steps["threaded"]
+    assert module in steps["threaded"]
     assert steps["equal"]

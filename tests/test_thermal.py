@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
 from scipy.linalg import eigvals_banded
 
 from rcprobe import operators, thermal
@@ -460,6 +462,11 @@ def test_multiplicities_fit_a_float_below_n_float():
     with pytest.raises(NumericalDomainError, match="does not fit a float"):
         next(thermal._blocks(big, 1, "full"))
     assert next(thermal._blocks(big, 1, "maximal"))[1] == 1.0
+    # and takes J = N/2 directly, without the binomials, which take seconds at this N
+    huge = ProbeParams(N=9999, epsilon=1.0, omega=1.0, g=0.2)
+    start = time.perf_counter()
+    assert next(thermal._blocks(huge, 1, "maximal"))[:2] == (4999.5, 1.0)
+    assert time.perf_counter() - start < 1.0
 
 
 def _seeded_window_points(count, seed=2026):
@@ -649,9 +656,10 @@ def test_inertia_count_with_a_band_wider_than_the_leading_block():
 
 
 def test_large_point_solves_no_whole_band(monkeypatch):
-    # every banded eigenvalue solve of a window block takes at most its leading block
+    # every banded eigenvalue solve of a window block takes at most its leading block;
+    # thermal calls scipy.linalg.eigvals_banded by its module path, _count_below's call too
     cols = []
-    window, solve = thermal._window, thermal.eigvals_banded
+    window = thermal._window
 
     def windowed(ab, *args):
         cols.append((ab.shape[1], []))
@@ -659,10 +667,10 @@ def test_large_point_solves_no_whole_band(monkeypatch):
 
     def banded(ab, *args, **kw):
         cols[-1][1].append(ab.shape[1])
-        return solve(ab, *args, **kw)
+        return eigvals_banded(ab, *args, **kw)
 
     monkeypatch.setattr(thermal, "_window", windowed)
-    monkeypatch.setattr(thermal, "eigvals_banded", banded)
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", banded)
     p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.2)
     assert snr_exact(p, 20.0, n_max=128).solver["window"] == len(cols) == 5
     assert all(seen and max(seen) <= 4 * (d // 20) + 4 for d, seen in cols)
