@@ -20,12 +20,15 @@ counterterm of the mapped Hamiltonian; without it the finite-cutoff real
 part (2 gamma omega_c / pi) would shift the resonance by an amount that
 grows with the cutoff.  `verify_equivalence` checks the relation
 numerically instead of assuming it; both transforms, W and W - W(0), are
-one integrator, `_transform`, with two kernels.
+one integrator, `_transform`, with two kernels.  varsigma and Gamma do not
+depend on omega_c, so the left side is computed once per (Lorentzian, grid,
+tol) and shared by every cutoff mapped to that Lorentzian.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy
@@ -91,14 +94,10 @@ def map_residual_to_original(res: OhmicResidual, omega0, g):
 def _quad_checked(f, a, b, tol, **kw):
     if not tol > 0:
         raise ParameterError(f"quadrature_tol must be > 0, got {tol}")
-    with warnings.catch_warnings():
-        # the returned error estimate is checked below; roundoff chatter from
-        # underflowing tails is not actionable
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        try:
-            val, err = scipy.integrate.quad(f, a, b, limit=400, epsabs=tol, epsrel=tol, **kw)
-        except OverflowError as exc:  # from a Python float's ** in the density
-            raise QuadratureError(f"the integrand overflows on [{a}, {b}]: {exc}") from None
+    try:
+        val, err = scipy.integrate.quad(f, a, b, limit=400, epsabs=tol, epsrel=tol, **kw)
+    except OverflowError as exc:  # from a Python float's ** in the density
+        raise QuadratureError(f"the integrand overflows on [{a}, {b}]: {exc}") from None
     if err > 1e-5 * max(abs(val), 1.0):
         raise QuadratureError(f"quadrature error {err:.2e} on [{a}, {b}]")
     return val
@@ -126,27 +125,33 @@ def _transform(J, z, f, tol, upper):
     """
     z = complex(z)
     x, d = z.real, z.imag
+    if not (math.isfinite(x) and math.isfinite(d)):
+        raise ParameterError(f"z = {z} is not finite")
+    if d == 0 and x < 0:
+        raise QuadratureError("z on the real axis: use a finite imaginary shift or |Im z| << Re z")
     if upper is None:
         upper = 50.0 * max(abs(x), 1.0)
-    if x > 0 and abs(d) <= 1e-4 * x:
-        pv = _quad_checked(lambda w: f(J, w, x) / (w + x), 0.0, 2.0 * x, tol,
-                           weight="cauchy", wvar=x)
-        reg = _quad_decades(lambda w: f(J, w, x) / (w * w - x * x), 2.0 * x,
-                            max(2.0 * x, 10.0 * upper), tol)
-        return complex((2.0 / math.pi) * (pv + reg), math.copysign(1.0, d) * J(x))
-    if d == 0 and x != 0:
-        raise QuadratureError("z on the real axis: use a finite imaginary shift or |Im z| << Re z")
-    z2 = z * z
+    with warnings.catch_warnings():
+        # each quadrature's error estimate is checked in _quad_checked; roundoff
+        # chatter from underflowing tails is not actionable
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        if x > 0 and abs(d) <= 1e-4 * x:
+            pv = _quad_checked(lambda w: f(J, w, x) / (w + x), 0.0, 2.0 * x, tol,
+                               weight="cauchy", wvar=x)
+            reg = _quad_decades(lambda w: f(J, w, x) / (w * w - x * x), 2.0 * x,
+                                max(2.0 * x, 10.0 * upper), tol)
+            return complex((2.0 / math.pi) * (pv + reg), math.copysign(1.0, d) * J(x))
+        z2 = z * z
 
-    def fre(w):
-        return (f(J, w, z) / (w * w - z2)).real
+        def fre(w):
+            return (f(J, w, z) / (w * w - z2)).real
 
-    def fim(w):
-        return (f(J, w, z) / (w * w - z2)).imag
+        def fim(w):
+            return (f(J, w, z) / (w * w - z2)).imag
 
-    re = _quad_checked(fre, 0.0, upper, tol) + _quad_checked(fre, upper, 10.0 * upper, tol)
-    im = _quad_checked(fim, 0.0, upper, tol) + _quad_checked(fim, upper, 10.0 * upper, tol)
-    return (2.0 / math.pi) * complex(re, im)
+        re = _quad_checked(fre, 0.0, upper, tol) + _quad_checked(fre, upper, 10.0 * upper, tol)
+        im = _quad_checked(fim, 0.0, upper, tol) + _quad_checked(fim, upper, 10.0 * upper, tol)
+        return (2.0 / math.pi) * complex(re, im)
 
 
 def _kernel_w(J, w, s):
@@ -177,6 +182,14 @@ def cauchy_transform_subtracted(J, z, quadrature_tol=1e-10, upper=None):
     return _transform(J, z, _kernel_z2_over_w, quadrature_tol, upper)
 
 
+@lru_cache(maxsize=1)
+def _original_side(lor, grid, tol):
+    """-W0(w + i delta)/2, delta = 1e-6 omega0, over a grid tuple; see verify_equivalence."""
+    return tuple(-0.5 * cauchy_transform(lor, w + 1j * (1e-6 * lor.omega0), tol,
+                                         upper=50.0 * max(lor.omega0, w))
+                 for w in grid)
+
+
 def verify_equivalence(res: OhmicResidual, omega0, g, grid, quadrature_tol=1e-10):
     """Max residual of the dynamical-equivalence relation over a frequency grid.
 
@@ -184,19 +197,21 @@ def verify_equivalence(res: OhmicResidual, omega0, g, grid, quadrature_tol=1e-10
     2 g^2 omega0 / ((w + i delta)^2 - omega0^2 + omega0 (W1 - W1(0))),
     with W0 taken over the mapped Lorentzian and W1 over the Ohmic residual
     by quadrature.  Returns the max relative difference (absolute when both
-    sides vanish, e.g. g -> 0).
+    sides vanish, e.g. g -> 0).  The W0 side is cached for the last
+    (Lorentzian, grid, tol), so a sweep over cutoffs computes it once.
     """
     if len(grid) == 0:
         raise ParameterError("the frequency grid is empty")
+    for w in grid:
+        if not math.isfinite(w):
+            raise ParameterError(f"the frequency grid holds a non-finite value w = {w}")
     lor = map_residual_to_original(res, omega0, g)
     upper1 = 60.0 * res.omega_c
     worst = 0.0
-    for w in grid:
+    for w, lhs in zip(grid, _original_side(lor, tuple(grid), quadrature_tol)):
         z = w + 1j * (1e-6 * omega0)
-        w0 = cauchy_transform(lor, z, quadrature_tol, upper=50.0 * max(omega0, w))
         # counterterm-subtracted W1, computed cancellation-free
         dw1 = cauchy_transform_subtracted(res, z, quadrature_tol, upper=upper1)
-        lhs = -0.5 * w0
         rhs = 2.0 * g**2 * omega0 / (z * z - omega0**2 + omega0 * dw1)
         denom = max(abs(lhs), abs(rhs))
         diff = abs(lhs - rhs)

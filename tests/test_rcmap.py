@@ -6,6 +6,7 @@ import pytest
 from rcprobe.errors import ParameterError, QuadratureError
 from rcprobe.rcmap import (
     LorentzianOriginal,
+    _original_side,
     OhmicResidual,
     cauchy_transform,
     cauchy_transform_subtracted,
@@ -139,3 +140,47 @@ def test_bad_parameters_rejected():
         for transform in (cauchy_transform, cauchy_transform_subtracted):
             with pytest.raises(ParameterError, match="quadrature_tol"):
                 transform(res, 1.0 + 0.5j, quadrature_tol=tol)
+
+
+def _cold(*args, **kw):
+    _original_side.cache_clear()
+    return verify_equivalence(*args, **kw)
+
+
+@pytest.mark.parametrize("ratios", [(1e2, 1e4), (1e4, 1e2)])
+def test_original_side_shared_across_cutoffs_bitwise(ratios):
+    # -W0/2 depends on the Lorentzian alone: computed for the first cutoff, reused after
+    cold = [_cold(OhmicResidual(gamma=0.05, omega_c=r), 1.0, 0.5, GRID) for r in ratios]
+    _original_side.cache_clear()
+    warm = [verify_equivalence(OhmicResidual(gamma=0.05, omega_c=r), 1.0, 0.5, GRID)
+            for r in ratios]
+    assert warm == cold
+    info = _original_side.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("change", [
+    {"g": 0.3}, {"gamma": 0.07}, {"omega0": 1.2}, {"tol": 1e-7}, {"grid": GRID[::-1] * 1.1},
+])
+def test_original_side_not_served_stale(change):
+    base = {"gamma": 0.05, "omega0": 1.0, "g": 0.5, "grid": GRID[:6], "tol": 1e-10}
+
+    def run(c):
+        return verify_equivalence(OhmicResidual(gamma=c["gamma"], omega_c=1e3), c["omega0"],
+                                  c["g"], c["grid"], quadrature_tol=c["tol"])
+
+    ref = _cold(OhmicResidual(gamma=0.05, omega_c=1e3), 1.0, 0.5, GRID[:6])
+    assert run(base) == ref  # warm on the base inputs
+    warm = run(base | change)
+    assert _original_side.cache_info().misses == 2  # the changed input missed
+    _original_side.cache_clear()
+    assert warm == run(base | change) != ref
+
+
+def test_original_side_not_cached_for_a_call_that_raises():
+    res = OhmicResidual(gamma=0.05, omega_c=1e2)
+    _original_side.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="quadrature_tol"):
+            verify_equivalence(res, 1.0, 0.5, GRID[:2], quadrature_tol=0.0)
+        assert _original_side.cache_info().currsize == 0

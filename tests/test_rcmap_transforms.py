@@ -5,6 +5,8 @@ subtracted transform is an exponential integral, so both real parts, which
 the quadrature produces, are checked against exact values.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import exp1
@@ -57,3 +59,23 @@ def test_empty_grid_rejected():
     # an empty grid has no residual; 0.0 would read as a perfect equivalence
     with pytest.raises(ParameterError, match="empty"):
         verify_equivalence(OhmicResidual(gamma=0.05, omega_c=1e2), 1.0, 0.5, np.array([]))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_nonfinite_frequency_rejected(bad):
+    # not scipy's ValueError for an infinite interval, nor a QuadratureError for nan
+    res = OhmicResidual(gamma=0.05, omega_c=1e2)
+    lor = LorentzianOriginal(varsigma=1.0, Gamma_width=0.05, omega0=1.0)
+    with pytest.raises(ParameterError, match="non-finite value w = "):
+        verify_equivalence(res, 1.0, 0.5, [0.5, bad])
+    for z in (complex(bad, 0.0), complex(1.0, bad)):
+        with pytest.raises(ParameterError, match="not finite"):
+            cauchy_transform(lor, z)
+        with pytest.raises(ParameterError, match="not finite"):
+            cauchy_transform_subtracted(res, z)
+
+
+def test_zero_frequency_in_grid_allowed():
+    # w = 0 is finite: the off-axis branch at z = i delta, where both sides agree
+    r = verify_equivalence(OhmicResidual(gamma=0.05, omega_c=1e2), 1.0, 0.5, [0.0])
+    assert 0.0 <= r < 1e-9

@@ -200,6 +200,16 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def test_cli_map_spectral_default_residuals_pinned(capsys):
+    # a tighter hold than the benchmark's 1e-6: a changed integrator or panel split
+    # moves these residuals by far more than 1e-12 relative
+    assert main(["map-spectral"]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    assert [r["omega_c_over_omega0"] for r in report] == [1e2, 1e3, 1e4]
+    assert [r["max_residual"] for r in report] == pytest.approx(
+        [0.006436300143437127, 0.0009221771968792063, 0.00011983824718861483], rel=1e-12)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("beta", ["1e308", "5"])
 def test_cli_snr_prints_strict_json_from_one_solve(monkeypatch, capsys, beta):

@@ -574,6 +574,26 @@ def test_window_slope_is_minus_beta_var_kubo():
     assert (up - dn) / (2 * h) == pytest.approx(djz_deps(p, beta, 64), rel=1e-6)
 
 
+
+@pytest.mark.parametrize("N, g, beta", [
+    (1, 0.2, 200.0), (1, 0.5, 200.0), (2, 0.8 / math.sqrt(2), 160.0), (4, 0.6, 160.0),
+])
+def test_snr_at_t_to_zero_reads_the_ground_state(N, g, beta):
+    # T -> 0 twin of d<Jz>/d eps = -beta Var_Kubo: with the ground state alone populated,
+    # Var_Kubo = 2 R_0 / beta and Var_proj = r_0, so S = 4 R_0^2 / r_0 on the projective
+    # channel (N = 1) and S / beta = 2 R_0 on the susceptibility one (N >= 2).  The excited
+    # weight is below exp(-31) here; 1e-10 relative bounds the rounding of the Gibbs sums.
+    p = ProbeParams(N=N, epsilon=1.0, omega=1.0, g=g)
+    s = _sector_data(p, 48, "full", beta)
+    i0 = np.argmin(s.E)
+    assert beta * (np.partition(s.E, 1)[1] - s.E[i0]) >= 31
+    R0, r0 = s.R[i0], s.r[i0]
+    S = snr_exact(p, beta, 48).snr
+    if N == 1:
+        assert S == pytest.approx(4 * R0**2 / r0, rel=1e-10)
+    else:
+        assert S / beta == pytest.approx(2 * R0, rel=1e-10)
+
 def test_large_point_solves_only_small_blocks_densely(monkeypatch):
     # a silent fallback to the dense solve at the large point would show in the eigh count
     dims = []
