@@ -131,6 +131,8 @@ def _transform(J, z, f, tol, upper):
         raise QuadratureError("z on the real axis: use a finite imaginary shift or |Im z| << Re z")
     if upper is None:
         upper = 50.0 * max(abs(x), 1.0)
+    elif not 0 < upper < math.inf:  # nan included
+        raise ParameterError(f"upper must be positive and finite, got {upper}")
     with warnings.catch_warnings():
         # each quadrature's error estimate is checked in _quad_checked; roundoff
         # chatter from underflowing tails is not actionable

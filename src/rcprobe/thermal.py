@@ -9,23 +9,30 @@ one flat record (Spectra), which one vectorised pass reads at each beta
 energy so that beta*omega ~ 10^3 neither under- nor overflows.
 
 A record is made for the least beta it must serve, and one rule picks each
-block's solver.  A block of d >= D_WINDOW = 256 rows, at a finite beta > 0,
-is
-  skipped   when the least Gershgorin bound lb of its rows, read from its
-            band, gives mult*d*e^{-beta (lb - e0)} < CUT = 1e-16, e0 the
-            least energy found so far (sectors run from J = N/2 down);
-  windowed  when its lowest |W| <= d/20 states leave out less than that,
-            mult*(d - |W|)*e^{-beta (E_cut - e0)} < CUT with the cut in a gap
-            of at least NEAR*omega: W is read from a leading block of the
-            band in Fock-slow order (bandwidth <= J + 1), certified by an
+block's solver.  Sectors run from J = N/2 down, e0 is the least energy kept
+so far, and mult0, r0 and R0 belong to its state.  At a finite beta > 0, a
+block is
+  skipped   when beta (lb - e0) > 1 and mult*d*e^{-beta (lb - e0)} N^2 < CUT*floor,
+            lb the least Gershgorin bound of its rows, CUT = 1e-16 and
+            floor = mult0 min(r0, (2/beta)(1 - e^{-beta NEAR omega}) R0);
+  windowed  when d >= D_WINDOW = 256 and its lowest |W| <= d/20 states leave
+            out a Gibbs weight mult*(d - |W|)*e^{-beta (E_cut - e0)} < CUT, the
+            cut in a gap of at least NEAR*omega: W is read from a leading block
+            of the band in Fock-slow order (bandwidth <= J + 1), certified by an
             inertia count of the whole band, and only W is solved (_window);
-  dense     otherwise, a failed certificate included.  Every block below
-            D_WINDOW is solved densely.
-So a record drops only states whose Gibbs weight, relative to the ground
-state's, is below CUT at its beta and at every larger one.  CUT bounds that
-weight, not the dropped share of Var_Kubo, which is larger where the ground
-state is nearly a Jz eigenstate: hence no skipping below D_WINDOW.
-Bands come from operators._parity_band; only a dense block's sector is built.
+  dense     otherwise, a failed certificate included.
+Relative to e^{-beta e0}, floor bounds Var_proj Z and Var_Kubo Z from below:
+the state of e0 adds mult0 r0 to the first, and each of its far pairs, all
+above it, at least (1 - e^{-beta NEAR omega}) of its M^2/gap to the second.
+Dropping a state of weight w moves sum w (d1 - m1)^2 by at most w (d1 - m1)^2,
+and sum w r and the Kubo pair sum (in-block, each pair at most its projective
+term) by at most w r: both by at most w <(Jz - m1)^2> <= w N^2, so C_N = N^2.
+The skip's ratio to CUT falls with beta once beta (lb - e0) > 1, as
+beta e^{-beta x} / (1 - e^{-beta a}) does (x = lb - e0, a = NEAR*omega), so a
+record serves every beta' >= beta.  floor = 0, as at g = 0 with e0 from a dense block,
+skips nothing.  Bands come from operators._parity_band, built where
+d >= D_WINDOW or where the block's least diagonal entry, an upper bound on
+lb, passes the skip test; only a dense block's sector is built.
 
 Two noise channels are provided for the SNR denominator:
 
@@ -75,8 +82,8 @@ NMAX_START, NMAX_CAP = 16, 4096
 # a cutoff is accepted when the fitted truncation estimate TOP_C * p_top < REL_TOL
 TOP_C, REL_TOL = 300.0, 1e-6
 NEAR = 1e-2  # Kubo pairs closer than NEAR*omega are summed directly at each beta
-# parity blocks of at least D_WINDOW rows may be skipped or solved by window;
-# either drops only states of Gibbs weight below CUT relative to the ground state's
+# a block of at least D_WINDOW rows may be solved by window, dropping Gibbs weight below CUT
+# relative to the ground state's; a block of any size is skipped below CUT of the variances
 D_WINDOW, CUT = 256, 1e-16
 # the least N with a sector multiplicity beyond the float range; the largest multiplicity
 # never falls as N grows, since adding a spin carries mult(J) into J + 1/2
@@ -323,28 +330,34 @@ def _sector_data(p: ProbeParams, n_max, sector="full", beta=0.0) -> Spectra:
     nb = n_max + 1
     recs = []
     solver = dict.fromkeys(("dense", "window", "skipped", "states"), 0)
-    e0 = np.inf  # the least energy found so far, never below the ground energy
+    e0, floor = np.inf, 0.0  # the least energy kept so far, >= the ground energy, and its floor
     for J, mult, k, rows, H in _blocks(p, n_max, sector):
         d, rec = len(rows), None
-        if d >= D_WINDOW and 0 < beta < np.inf:
-            ab, m, n = operators._parity_band(p, J, n_max, k)
-            # Gershgorin: min_i H_ii - sum_{j != i} |H_ij| = 2 H_ii - (H 1)_i, as no H_ij < 0
-            h1 = scipy.linalg.blas.dsbmv(len(ab) - 1, 1.0, ab, np.ones(d), lower=1)
-            lb = (2 * ab[0] - h1).min()
-            with np.errstate(over="ignore"):
-                if beta * (lb - e0) > np.log(mult * d / CUT):
+        m, n = rows // nb - J, rows % nb
+        if 0 < beta < np.inf:
+            with np.errstate(divide="ignore", over="ignore"):  # inf where floor = 0 or e0 = inf
+                lb_skip = e0 + max(1.0, np.log(mult * d * p.N**2 / CUT) - np.log(floor)) / beta
+            if d >= D_WINDOW or (p.epsilon * m + p.omega * n).min() > lb_skip:  # min H_ii >= lb
+                ab, bm, bn = operators._parity_band(p, J, n_max, k)
+                # Gershgorin: min_i H_ii - sum_{j != i} H_ij, as no H_ij < 0; ab[q, j] = H_{j+q, j}
+                lb = (ab[0] - sum(ab[q] + np.r_[np.zeros(q), ab[q, : d - q]]
+                                  for q in range(1, len(ab)))).min()
+                if lb > lb_skip:
                     solver["skipped"] += 1
                     continue
-            rec = _window(ab, m, n == n_max, mult, beta, e0, lb, p.omega)
+                if d >= D_WINDOW:
+                    rec = _window(ab, bm, bn == n_max, mult, beta, e0, lb, p.omega)
         solver["dense" if rec is None else "window"] += 1
         if rec is None:
             E, V = eigendecompose(H()[np.ix_(rows, rows)])
-            d1, M2, R, near = _pairs(E, V, rows // nb - J, p.omega)
-            rec = (E, d1, M2.sum(axis=1), R, np.square(V[rows % nb == n_max]).sum(axis=0), near)
+            d1, M2, R, near = _pairs(E, V, m, p.omega)
+            rec = (E, d1, M2.sum(axis=1), R, np.square(V[n == n_max]).sum(axis=0), near)
         E, d1, r, R, t, (i, gap, m2) = rec
         recs.append((np.full(len(E), mult), E, d1, r, R, t, i + solver["states"], gap, m2))
         solver["states"] += len(E)
-        e0 = min(e0, E[0])
+        if E[0] < e0:  # (2/beta)(1 - e^{-beta NEAR omega}) R0 as 2 NEAR omega phi R0: no overflow
+            kubo = 2 * NEAR * p.omega * _phi(beta * NEAR * p.omega)
+            e0, floor = E[0], mult * max(0.0, min(r[0], kubo * R[0]))  # a window's R0 rounds
     mult, E, d1, r, R, t, i, gap, m2 = (np.concatenate(a) for a in zip(*recs))
     return Spectra(mult, E, d1, r, R, t, (i, gap, m2), solver, n_max)
 

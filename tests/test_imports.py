@@ -4,8 +4,9 @@ rcprobe imports only the top-level scipy and names each function where it
 calls it, so SciPy's lazy submodule loading brings a submodule in at its
 first call.  scipy.linalg is called only by thermal's window route (a parity
 block of d >= D_WINDOW at a finite beta) and by reduced_probe_state, so the
-exact figures and a dense snr never load it.  Each check runs in a fresh
-interpreter: the test modules import scipy.linalg, scipy.special and
+exact figures and a dense snr never load it, nor does one whose small blocks
+are skipped (their bounds come from NumPy band sums).  Each check runs in a
+fresh interpreter: the test modules import scipy.linalg, scipy.special and
 scipy.integrate themselves.
 """
 
@@ -16,6 +17,8 @@ import subprocess
 import sys
 
 import pytest
+
+from rcprobe import cli, operators
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 LAZY = ("scipy.linalg", "scipy.optimize", "scipy.integrate", "scipy.special")
@@ -51,6 +54,11 @@ assert run("reproduce", "fig2a", "--out", sys.argv[1]) == 0
 steps["reproduce"] = loaded()
 assert run("snr", "--N", "2", "--g", "0.3", "--beta-omega", "5", "--n-max", "16") == 0
 steps["snr"] = loaded()
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["snr", "--N", "6", "--g", "0.3", "--beta-omega", "40", "--n-max", "16"]) == 0
+steps["skipped"] = json.loads(out.getvalue())["solver"]["skipped"]
+steps["skip snr"] = loaded()
 assert run("snr", "--N", "10", "--g", "0.2", "--beta-omega", "20", "--n-max", "128") == 0
 steps["window snr"] = loaded()
 assert run("dicke", "--epsilon", "0.5", "--gbar", "0.9", "--beta-omega", "5") == 0
@@ -58,7 +66,8 @@ steps["dicke"] = loaded()
 assert run("map-spectral", "--cutoff-ratios", "100", "--grid-points", "2") == 0
 steps["map-spectral"] = loaded()
 """, str(tmp_path / "fig2a.csv"))
-    assert steps["import"] == steps["reproduce"] == steps["snr"] == []
+    assert steps["import"] == steps["reproduce"] == steps["snr"] == steps["skip snr"] == []
+    assert steps["skipped"] == 5  # of its 8 blocks, all below D_WINDOW
     assert steps["window snr"] == ["scipy.linalg"]  # its d >= D_WINDOW blocks are banded
     assert "scipy.optimize" in steps["dicke"]  # the superradiant eta is a brentq root
     assert "scipy.integrate" in steps["map-spectral"]
@@ -91,3 +100,18 @@ steps["equal"] = threaded == sweep.emit_csv(sweep.run_sweep(cfg, jobs=1))
     assert steps["import"] == []
     assert module in steps["threaded"]
     assert steps["equal"]
+
+
+def test_exact_figure_builds_no_band(monkeypatch, tmp_path):
+    # fig2a's blocks are small: the least diagonal entry keeps each from the skip test
+    # before any band is built
+    calls = []
+    band = operators._parity_band
+
+    def counted(*args):
+        calls.append(args)
+        return band(*args)
+
+    monkeypatch.setattr(operators, "_parity_band", counted)
+    assert cli.main(["reproduce", "fig2a", "--out", str(tmp_path / "fig2a.csv")]) == 0
+    assert calls == []

@@ -79,3 +79,16 @@ def test_zero_frequency_in_grid_allowed():
     # w = 0 is finite: the off-axis branch at z = i delta, where both sides agree
     r = verify_equivalence(OhmicResidual(gamma=0.05, omega_c=1e2), 1.0, 0.5, [0.0])
     assert 0.0 <= r < 1e-9
+
+
+@pytest.mark.parametrize("upper", [math.nan, -1.0, 0.0, math.inf])
+def test_upper_must_be_positive_and_finite(upper):
+    # nan gave nan + nan i, -1 a flipped sign and 0 a zero transform at z = 0.7 + 0.4i;
+    # inf escaped near the axis as a bare OverflowError
+    res = OhmicResidual(gamma=0.05, omega_c=1e2)
+    lor = LorentzianOriginal(varsigma=1.0, Gamma_width=0.05, omega0=1.0)
+    for z in (OFF_AXIS, 1.0 + 1e-7j):
+        with pytest.raises(ParameterError, match="upper must be positive and finite"):
+            cauchy_transform(lor, z, upper=upper)
+        with pytest.raises(ParameterError, match="upper must be positive and finite"):
+            cauchy_transform_subtracted(res, z, upper=upper)

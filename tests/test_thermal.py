@@ -475,7 +475,7 @@ def _seeded_window_points(count, seed=2026):
              float(rng.uniform(15.0, 40.0)), 64) for _ in range(count)]
 
 
-# Window points: (N, eps, g, beta*omega, n_max).  The large point skips three
+# Window points: (N, eps, g, beta*omega, n_max).  The large point skips five
 # blocks; g = 0.002 and 0.001 at eps = omega keep near pairs (< NEAR*omega)
 # inside a window; g = 0.9 at n_max = 46 has a dense p_top of ~8e-8; N = 9 has
 # half-integer J.  Then four seeded points.
@@ -489,9 +489,9 @@ WINDOW_POINTS = [
 ]
 # (dense, window, skipped, states) of each window point, recorded with the whole
 # band's eigenvalues: a window block that falls back to dense changes them
-WINDOW_TALLIES = [(4, 5, 3, 526), (8, 4, 0, 1049), (8, 3, 1, 1044), (10, 2, 0, 1181),
-                  (6, 4, 0, 790), (8, 4, 0, 1047), (6, 4, 0, 786), (8, 3, 1, 1043),
-                  (6, 4, 0, 786)]
+WINDOW_TALLIES = [(0, 7, 5, 12), (3, 4, 5, 627), (1, 4, 7, 234), (0, 2, 10, 6),
+                  (2, 4, 4, 400), (1, 4, 7, 235), (0, 4, 6, 6), (0, 4, 8, 4),
+                  (0, 4, 6, 6)]
 
 
 @pytest.mark.parametrize("N, eps, g, beta, n_max", WINDOW_POINTS)
@@ -606,11 +606,10 @@ def test_large_point_solves_only_small_blocks_densely(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.2)
     got = snr_exact(p, 20.0, n_max=128)
-    assert sorted(dims) == [64, 65, 193, 194]
-    assert max(dims) < thermal.D_WINDOW
+    assert dims == []
     monkeypatch.undo()
-    # J = 1, 0 dense; the 8 blocks of J = 5 .. 2 (d >= D_WINDOW) windowed or skipped
-    assert (got.solver["dense"], got.solver["window"] + got.solver["skipped"]) == (4, 8)
+    # the blocks of J = 5 .. 3 and one of J = 2 windowed, the rest skipped: none dense
+    assert (got.solver["dense"], got.solver["window"], got.solver["skipped"]) == (0, 7, 5)
     ref = _point(p, _sector_data(p, 128), 20.0, "auto").snr
     assert got.snr == pytest.approx(ref, rel=1e-12)
 
@@ -692,13 +691,13 @@ def test_large_point_solves_no_whole_band(monkeypatch):
     monkeypatch.setattr(thermal, "_window", windowed)
     monkeypatch.setattr(scipy.linalg, "eigvals_banded", banded)
     p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.2)
-    assert snr_exact(p, 20.0, n_max=128).solver["window"] == len(cols) == 5
+    assert snr_exact(p, 20.0, n_max=128).solver["window"] == len(cols) == 7
     assert all(seen and max(seen) <= 4 * (d // 20) + 4 for d, seen in cols)
 
 
 def test_large_point_never_builds_a_skipped_sector(monkeypatch):
-    # J = 2 has two blocks of d >= D_WINDOW, both skipped, and the window blocks of
-    # J = 5 .. 3 are read from their bands: only J = 1 and 0, solved dense, are built
+    # the window blocks of J = 5 .. 3 and the first of J = 2 are read from their bands,
+    # and the other five blocks are skipped: no sector is built
     built = []
     build = thermal.build_mapped_hamiltonian
 
@@ -708,12 +707,13 @@ def test_large_point_never_builds_a_skipped_sector(monkeypatch):
 
     monkeypatch.setattr(thermal, "build_mapped_hamiltonian", counted)
     p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.2)
-    assert snr_exact(p, 20.0, n_max=128).solver["skipped"] == 3
-    assert built == [1, 0]
+    assert snr_exact(p, 20.0, n_max=128).solver["skipped"] == 5
+    assert built == []
 
 
-def test_only_sectors_with_a_dense_block_are_built(monkeypatch):
-    built, dense, current = [], [], []  # current: the J of the block being solved
+@pytest.mark.parametrize("N, g, window, dense", [(16, 0.5, 4, 0), (10, 0.002, 4, 3)])
+def test_only_sectors_with_a_dense_block_are_built(monkeypatch, N, g, window, dense):
+    built, solved, current = [], [], []  # current: the J of the block being solved
     blocks, build, solve = thermal._blocks, thermal.build_mapped_hamiltonian, thermal.eigendecompose
 
     def tracked(*args):
@@ -726,12 +726,67 @@ def test_only_sectors_with_a_dense_block_are_built(monkeypatch):
         return build(p, J, n_max)
 
     def counted_solve(A):
-        dense.append(current[-1])
+        solved.append(current[-1])
         return solve(A)
 
     monkeypatch.setattr(thermal, "_blocks", tracked)
     monkeypatch.setattr(thermal, "build_mapped_hamiltonian", counted_build)
     monkeypatch.setattr(thermal, "eigendecompose", counted_solve)
-    s = _sector_data(ProbeParams(N=16, epsilon=1.0, omega=1.0, g=0.5), 64, beta=20.0)
-    assert (s.solver["window"], s.solver["dense"]) == (4, 8)
-    assert built == sorted(set(dense), reverse=True)
+    s = _sector_data(ProbeParams(N=N, epsilon=1.0, omega=1.0, g=g), 64, beta=20.0)
+    assert (s.solver["window"], s.solver["dense"]) == (window, dense)
+    assert built == sorted(set(solved), reverse=True)
+
+
+def _seeded_skip_points(count, seed=24):
+    # N = 1-8, g = 0 or log-uniform in [1e-4, 1], beta*omega log-uniform in [1, 200];
+    # n_max <= 24 keeps every block below D_WINDOW, so only the skip rule differs from dense
+    rng = np.random.default_rng(seed)
+    return [(int(rng.integers(1, 9)), float(rng.uniform(0.3, 1.5)),
+             0.0 if rng.random() < 0.1 else float(10.0 ** rng.uniform(-4.0, 0.0)),
+             float(10.0 ** rng.uniform(0.0, np.log10(200.0))), int(rng.integers(4, 25)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_skipped_blocks_leave_every_observable_within_1e_10(N):
+    # a record made at beta skips blocks by their share of both variances; it matches
+    # the dense record at beta and at every colder temperature it is read at
+    skipped = 0
+    for n, eps, g, beta, n_max in _seeded_skip_points(212):
+        if n != N:
+            continue
+        p = ProbeParams(N=N, epsilon=eps, omega=1.0, g=g)
+        rec, dense = _sector_data(p, n_max, beta=beta), _sector_data(p, n_max)
+        skipped += rec.solver["skipped"]
+        assert rec.solver["window"] == 0
+        for b in (beta, 2 * beta, 10 * beta):
+            got, ref = _combine(rec, b), _combine(dense, b)
+            for name in ("lnZ", "mean_Jz", "var_Jz", "var_Jz_kubo"):
+                assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-10), (
+                    name, p, b, n_max)
+            try:
+                want = _point(p, dense, b, "auto").snr
+            except NumericalDomainError:  # a degenerate variance, as at g = 0
+                with pytest.raises(NumericalDomainError, match="degenerate"):
+                    _point(p, rec, b, "auto")
+                continue
+            assert _point(p, rec, b, "auto").snr == pytest.approx(want, rel=1e-10), (p, b, n_max)
+    assert skipped > 0
+
+
+def test_nearly_jz_eigenstate_ground_state_skips_without_moving_s():
+    # N = 2, g = 1e-4, beta*omega = 40, n_max = 12: states of Gibbs weight 4e-18 carry
+    # 2.7e-7 of Var_Kubo, and a weight bound (mult*d*e^{-beta (lb - e0)} < CUT) skips
+    # three blocks and moves S by 2.7e-7; the variance bound skips one, S within 1e-12
+    p = ProbeParams(N=2, epsilon=1.0, omega=1.0, g=1e-4)
+    rec = _sector_data(p, 12, beta=40.0)
+    assert rec.solver["skipped"] == 1
+    assert _point(p, rec, 40.0, "auto").snr == pytest.approx(
+        _point(p, _sector_data(p, 12), 40.0, "auto").snr, rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [1, 4, 10])
+def test_zero_coupling_skips_nothing(N):
+    # at g = 0 every eigenstate is a Jz eigenstate: r0 = R0 = 0, so the floor is 0
+    s = _sector_data(ProbeParams(N=N, epsilon=1.0, omega=1.0, g=0.0), 16, beta=200.0)
+    assert s.solver["skipped"] == 0
