@@ -27,7 +27,7 @@ from .dicke import DickeParams, dicke_solution, hp_excitations
 from .errors import ConfigError, ConvergenceError, ParameterError, RcprobeError
 from .operators import ProbeParams
 from .rcmap import OhmicResidual, verify_equivalence
-from .thermal import snr_exact
+from .thermal import NOISE_CHANNELS, SECTORS, snr_exact
 from .units import convert_units
 
 EXIT_CONFIG = 2
@@ -51,9 +51,8 @@ def build_parser():
     p.add_argument("--g", type=float, required=True)
     p.add_argument("--beta-omega", type=float, required=True)
     p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--noise", choices=("auto", "projective", "susceptibility"),
-                   default="auto")
-    p.add_argument("--sector", choices=("full", "maximal"), default="full")
+    p.add_argument("--noise", choices=NOISE_CHANNELS, default=NOISE_CHANNELS[0])
+    p.add_argument("--sector", choices=SECTORS, default=SECTORS[0])
     p.add_argument("--ghz", nargs=3, type=float, metavar=("EPS", "OMEGA", "G"),
                    default=None,
                    help="physical frequencies in GHz; --beta-omega is then read "
@@ -88,15 +87,6 @@ def build_parser():
     return ap
 
 
-def _emit(rows, fmt, out):
-    text = sweepmod.emit_csv(rows) if fmt == "csv" else sweepmod.emit_json(rows)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
 def _cmd_snr(args):
     if args.ghz:
         eps, om, g = args.ghz
@@ -116,13 +106,6 @@ def _cmd_snr(args):
         # parity blocks solved dense, by window or skipped, and eigenstates kept
         "solver": pt.solver,
     }, indent=2))
-    return 0
-
-
-def _cmd_sweep(args):
-    cfg = sweepmod.load_config(args.config)
-    rows = sweepmod.run_sweep(cfg, jobs=args.jobs)
-    _emit(rows, args.format, args.out)
     return 0
 
 
@@ -182,10 +165,20 @@ def figure_config_text(figure_id):
     return ref.read_text(encoding="utf-8")
 
 
-def _cmd_reproduce(args):
-    cfg = sweepmod.parse_config_text(figure_config_text(args.figure_id))
-    rows = sweepmod.run_sweep(cfg, jobs=args.jobs)
-    _emit(rows, args.format, args.out)
+def _cmd_sweep(args):
+    """sweep and reproduce: run the config text of --config or of a shipped figure id."""
+    if args.command == "sweep":
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        text = figure_config_text(args.figure_id)
+    rows = sweepmod.run_sweep(sweepmod.parse_config_text(text), jobs=args.jobs)
+    text = sweepmod.emit_csv(rows) if args.format == "csv" else json.dumps(rows, indent=2)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return 0
 
 
@@ -195,7 +188,7 @@ _DISPATCH = {
     "dicke": _cmd_dicke,
     "map-spectral": _cmd_map_spectral,
     "fit": _cmd_fit,
-    "reproduce": _cmd_reproduce,
+    "reproduce": _cmd_sweep,
 }
 
 

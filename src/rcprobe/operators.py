@@ -49,9 +49,6 @@ class ProbeParams:
         if self.g < 0:
             raise ParameterError(f"g must be >= 0, got {self.g}")
 
-    def replace_epsilon(self, epsilon):
-        return ProbeParams(self.N, epsilon, self.omega, self.g)
-
 
 @dataclass(frozen=True)
 class OperatorMatrix:

@@ -41,7 +41,6 @@ grid_value, beta_omega, snr, snr_weak, delta_snr, n_max, converged, phase, eta
 
 import csv
 import io
-import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -53,7 +52,7 @@ from .dicke import DickeParams, dicke_solution
 from .errors import ConfigError, NumericalDomainError, ParameterError, RcprobeError
 from .grwa import asymptotic_snr, ground_energy_derivs
 from .operators import ProbeParams
-from .thermal import SnrPoint, _point, _sector_data, converge_nmax
+from .thermal import NOISE_CHANNELS, SECTORS, SnrPoint, _point, _sector_data, converge_nmax
 
 COLUMNS = (
     "grid_value",
@@ -78,8 +77,8 @@ _AXES = {"beta_omega": "beta_omega", "g_over_omega": "g", "epsilon_over_omega": 
 _CHOICES = {
     "model": ("rabi_exact", "grwa", "dicke", "weak"),
     "grid_axis": tuple(_AXES),
-    "sector": ("full", "maximal"),
-    "noise": ("auto", "projective", "susceptibility"),
+    "sector": SECTORS,
+    "noise": NOISE_CHANNELS,
 }
 _KNOWN_KEYS = {
     "schema_version", "grid_values", "grid_start", "grid_stop", "grid_points", "grid_scale",
@@ -97,8 +96,8 @@ class SweepConfig:
     g: float = 0.0
     gbar: float = 0.0
     beta_omega: float = 10.0
-    sector: str = "full"
-    noise: str = "auto"
+    sector: str = SECTORS[0]
+    noise: str = NOISE_CHANNELS[0]
     n_max: int | str = 64
 
 
@@ -208,11 +207,6 @@ def parse_config_text(text) -> SweepConfig:
     return cfg
 
 
-def load_config(path) -> SweepConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
-
-
 def _point_params(cfg: SweepConfig, x):
     """(ProbeParams-or-DickeParams, beta) at one grid value."""
     v = vars(cfg) | {_AXES[cfg.grid_axis]: x}
@@ -225,7 +219,7 @@ def _point_params(cfg: SweepConfig, x):
 
 def _row(cfg: SweepConfig, x, spectra=None):
     """One output row, read from one SnrPoint.  `spectra` is the shared solve of a fixed-cutoff
-    beta sweep; a point that raises RcprobeError gives NaN values and converged false."""
+    beta sweep; a point that raises RcprobeError gives NaN values and p_top, so converged false."""
     p, beta = _point_params(cfg, x)
     phase = eta = ""
     fixed = cfg.model == "rabi_exact" and cfg.n_max != "auto"
@@ -243,7 +237,7 @@ def _row(cfg: SweepConfig, x, spectra=None):
             pt = (_point(p, spectra or _sector_data(p, cfg.n_max, cfg.sector, beta), beta,
                          cfg.noise) if fixed else converge_nmax(p, beta, cfg.noise, cfg.sector))
     except RcprobeError:  # a fixed-cutoff row keeps its cutoff
-        pt = SnrPoint(beta, np.nan, np.nan, cfg.n_max if fixed else 0, converged=False)
+        pt = SnrPoint(beta, np.nan, np.nan, cfg.n_max if fixed else 0, np.nan)
     return {
         "grid_value": x, "beta_omega": beta, "snr": pt.snr, "snr_weak": pt.snr_weak,
         "delta_snr": pt.snr - pt.snr_weak, "n_max": pt.n_max, "converged": pt.converged,
@@ -309,8 +303,8 @@ def fit_scaling(rows, window) -> ScalingFit:
     return ScalingFit(theta=float(theta), stderr=stderr, window=(lo, hi), r_squared=r2)
 
 
-def emit_csv(rows, stream=None):
-    """Write rows with the fixed column set; returns the CSV text."""
+def emit_csv(rows):
+    """The CSV text of rows, with the fixed column set."""
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=COLUMNS, lineterminator="\n")
     w.writeheader()
@@ -318,10 +312,7 @@ def emit_csv(rows, stream=None):
         out = dict(r)
         out["converged"] = "true" if r["converged"] else "false"
         w.writerow({k: _fmt(out[k]) for k in COLUMNS})
-    text = buf.getvalue()
-    if stream is not None:
-        stream.write(text)
-    return text
+    return buf.getvalue()
 
 
 def _fmt(v):
@@ -346,7 +337,3 @@ def parse_csv(text):
             "eta": float(rec["eta"]) if rec["eta"] else "",
         })
     return rows
-
-
-def emit_json(rows):
-    return json.dumps(rows, indent=2)

@@ -72,10 +72,12 @@ import scipy
 
 from . import operators
 from .baseline import weak_snr
-from .errors import ConvergenceError, NumericalDomainError
+from .errors import ConvergenceError, NumericalDomainError, ParameterError
 from .operators import ProbeParams, build_mapped_hamiltonian, sector_multiplicities
 
-NOISE_CHANNELS = ("projective", "susceptibility", "auto")
+# the spin sectors summed and the noise channels of the module docstring; each default first
+SECTORS = ("full", "maximal")
+NOISE_CHANNELS = ("auto", "projective", "susceptibility")
 
 # converge_nmax: first cutoff and largest cutoff
 NMAX_START, NMAX_CAP = 16, 4096
@@ -115,12 +117,21 @@ class SnrPoint:
     n_max: int = 0  # the Fock cutoff of the solve; 0 where there is none, as for dicke points
     p_top: float = 0.0  # as ThermalObservables.p_top, from the same solve
     solver: dict | None = None  # how the solve was split: see Spectra
-    converged: bool = True  # cutoff_converged(p_top); no cutoff, as for dicke points: True
+
+    @property
+    def converged(self):
+        """cutoff_converged(p_top): true where there is no cutoff (p_top = 0), as for dicke points."""
+        return cutoff_converged(self.p_top)
 
 
 def cutoff_converged(p_top):
     """True when the fitted truncation estimate TOP_C * p_top is below REL_TOL."""
     return bool(TOP_C * p_top < REL_TOL)
+
+
+def _check_choice(value, allowed, name):
+    if value not in allowed:
+        raise ParameterError(f"{name} must be one of {allowed}, got {value!r}")
 
 
 def eigendecompose(A):
@@ -150,6 +161,7 @@ def _blocks(p: ProbeParams, n_max, sector):
     element of H or Jz couples rows of unequal (m+J)+n parity, so each
     sector is solved as two blocks, even rows then odd.
     """
+    _check_choice(sector, SECTORS, "sector")
     operators._check_sector(p, p.N / 2, n_max)  # the largest sector, before any multiplicity
     if sector == "full" and p.N >= N_FLOAT:  # every product with a multiplicity is in floats
         raise NumericalDomainError(f"N = {p.N}: a multiplicity does not fit a float")
@@ -410,11 +422,8 @@ def _point(p: ProbeParams, spectra: Spectra, beta, noise) -> SnrPoint:
     """SnrPoint at one beta from a solve's record, with the cutoff verdict of that solve:
     S = |d<Jz>/d eps|^2 / Var(Jz), d<Jz>/d eps = -beta Var_Kubo."""
     obs = _combine(spectra, beta)
-    if noise not in NOISE_CHANNELS:
-        raise NumericalDomainError(f"unknown noise channel {noise!r}")
-    if noise == "auto":
-        noise = "projective" if p.N == 1 else "susceptibility"
-    var = obs.var_Jz if noise == "projective" else obs.var_Jz_kubo
+    projective = noise == "projective" or (noise == "auto" and p.N == 1)
+    var = obs.var_Jz if projective else obs.var_Jz_kubo
     if var < 1e-14 * p.N**2:
         raise NumericalDomainError(
             f"variance {var:.3e} degenerate (T -> 0 with a pure Jz eigenstate)"
@@ -422,17 +431,19 @@ def _point(p: ProbeParams, spectra: Spectra, beta, noise) -> SnrPoint:
     slope = -beta * obs.var_Jz_kubo
     return SnrPoint(beta=beta, snr=slope * slope / var,
                     snr_weak=weak_snr(p.N, p.epsilon, beta).snr, n_max=spectra.n_max,
-                    p_top=obs.p_top, solver=spectra.solver, converged=cutoff_converged(obs.p_top))
+                    p_top=obs.p_top, solver=spectra.solver)
 
 
 def snr_exact(p: ProbeParams, beta, n_max=128, noise="auto", sector="full"):
     """Exact SNR S = |d<Jz>/d eps|^2 / noise at one parameter point.
 
-    `noise` selects the variance channel (see module docstring).  Returns
-    SnrPoint(beta, snr, snr_weak, n_max, p_top, solver, converged); snr_weak is the
-    closed-form g = 0 value, p_top the top Fock level's population, solver how
-    the blocks were solved (see Spectra), converged cutoff_converged(p_top).
+    `noise` selects the variance channel and `sector` the spin sectors summed
+    (see module docstring); any other value is a ParameterError.  Returns
+    SnrPoint(beta, snr, snr_weak, n_max, p_top, solver); snr_weak is the closed-form
+    g = 0 value, p_top the top Fock level's population, solver how the blocks were
+    solved (see Spectra), and its converged property is cutoff_converged(p_top).
     """
+    _check_choice(noise, NOISE_CHANNELS, "noise")
     return _point(p, _sector_data(p, n_max, sector, beta), beta, noise)
 
 
@@ -444,6 +455,7 @@ def converge_nmax(p: ProbeParams, beta, noise="auto", sector="full") -> SnrPoint
     at it alone.  The doubling stops at NMAX_CAP, or where the next cutoff's
     largest sector would exceed operators.DIM_CAP, with a ConvergenceError.
     """
+    _check_choice(noise, NOISE_CHANNELS, "noise")
     n = NMAX_START
     while n <= NMAX_CAP and (p.N + 1) * (n + 1) <= operators.DIM_CAP:
         spectra = _sector_data(p, n, sector, beta)

@@ -8,6 +8,7 @@ failing rather than loosened; the measured values are printed.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,8 +277,8 @@ def test_criterion_13_property_suites():
     h, worst = 1e-5, 0.0
     for N, g, bw in ((1, 0.4, 10.0), (2, 0.1, 1.0), (2, 0.4, 40.0)):
         p = ProbeParams(N=N, epsilon=1.0, omega=1.0, g=g)
-        up = thermal_observables(p.replace_epsilon(1.0 + h), bw, 32).lnZ
-        dn = thermal_observables(p.replace_epsilon(1.0 - h), bw, 32).lnZ
+        up = thermal_observables(replace(p, epsilon=1.0 + h), bw, 32).lnZ
+        dn = thermal_observables(replace(p, epsilon=1.0 - h), bw, 32).lnZ
         fd = -(up - dn) / (2 * h * bw)
         m = thermal_observables(p, bw, 32).mean_Jz
         worst = max(worst, abs(fd / m - 1.0))
@@ -301,7 +302,7 @@ def test_criterion_13_property_suites():
     # <Jz^2> eigentrace vs (1/(Z beta^2)) d2Z/deps2 at strong coupling
     p = ProbeParams(N=2, epsilon=1.0, omega=1.0, g=0.4)
     hh, bw = 1e-4, 10.0
-    lnz = [thermal_observables(p.replace_epsilon(1.0 + k * hh), bw, 48).lnZ
+    lnz = [thermal_observables(replace(p, epsilon=1.0 + k * hh), bw, 48).lnZ
            for k in (-1, 0, 1)]
     d1 = (lnz[2] - lnz[0]) / (2 * hh)
     d2 = (lnz[2] - 2 * lnz[1] + lnz[0]) / hh**2

@@ -466,6 +466,15 @@ def test_failing_exact_rows_keep_their_cutoff(n_max, want):
     assert math.isfinite(rows[1]["snr"]) and rows[1]["n_max"] == (8 if want else 16)
 
 
+@pytest.mark.parametrize("model, keys", [("weak", ""), ("dicke", "gbar = 0.9\n"),
+                                         ("grwa", "g = 0.3\n")])
+def test_rows_without_a_cutoff_read_converged(model, keys):
+    # their points carry p_top = 0, and the verdict is cutoff_converged(p_top)
+    cfg = parse_config_text(f"schema_version = 1\nmodel = {model}\nN = 2\nepsilon = 0.8\n"
+                            f"{keys}grid_axis = beta_omega\ngrid_values = 1, 5\n")
+    assert [row["converged"] for row in run_sweep(cfg)] == [True, True]
+
+
 def _fixed_cutoff_config(axis, values, N=2, n_max=16):
     return parse_config_text(
         f"schema_version = 1\nmodel = rabi_exact\nN = {N}\nepsilon = 1.1\n"

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,14 +11,16 @@ from scipy.linalg import eigvals_banded
 
 from rcprobe import operators, thermal
 from rcprobe.baseline import weak_snr
-from rcprobe.errors import ConvergenceError, NumericalDomainError
+from rcprobe.errors import ConvergenceError, NumericalDomainError, ParameterError
 from rcprobe.operators import ProbeParams, build_mapped_hamiltonian, sector_multiplicities
 from rcprobe.thermal import (
+    SnrPoint,
     _combine,
     _parity_blocks,
     _point,
     _sector_data,
     converge_nmax,
+    cutoff_converged,
     djz_deps,
     eigendecompose,
     reduced_probe_state,
@@ -121,8 +124,8 @@ def test_hellmann_feynman_grid():
         for g in (0.1, 0.4):
             for beta in (1.0, 10.0, 40.0):
                 p = ProbeParams(N=N, epsilon=1.0, omega=1.0, g=g)
-                up = thermal_observables(p.replace_epsilon(1.0 + h), beta, 32).lnZ
-                dn = thermal_observables(p.replace_epsilon(1.0 - h), beta, 32).lnZ
+                up = thermal_observables(replace(p, epsilon=1.0 + h), beta, 32).lnZ
+                dn = thermal_observables(replace(p, epsilon=1.0 - h), beta, 32).lnZ
                 fd = -(up - dn) / (2 * h * beta)
                 obs = thermal_observables(p, beta, 32)
                 assert fd == pytest.approx(obs.mean_Jz, rel=1e-6), (N, g, beta)
@@ -134,7 +137,7 @@ def test_kubo_moment_is_lnz_curvature():
     for N, g, beta in ((1, 0.4, 8.0), (2, 0.3, 5.0)):
         p = ProbeParams(N=N, epsilon=1.0, omega=1.0, g=g)
         lnz = [
-            thermal_observables(p.replace_epsilon(1.0 + k * h), beta, 40).lnZ
+            thermal_observables(replace(p, epsilon=1.0 + k * h), beta, 40).lnZ
             for k in (-1, 0, 1)
         ]
         # d2Z/(Z deps2) = d2 lnZ + (d lnZ)^2
@@ -347,6 +350,49 @@ def test_maximal_sector_flag():
     full = thermal_observables(p, 2.0, 24, sector="full")
     maximal = thermal_observables(p, 2.0, 24, sector="maximal")
     assert full.lnZ > maximal.lnZ  # sub-maximal sectors add weight
+
+
+def _counted_solves(monkeypatch):
+    """A list that collects the name of each band, sector build and dense solve made."""
+    calls = []
+    for module, name in ((operators, "_parity_band"), (thermal, "build_mapped_hamiltonian"),
+                         (thermal, "eigendecompose")):
+        def counted(*args, name=name, call=getattr(module, name)):
+            calls.append(name)
+            return call(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("solve, kwargs", [
+    (snr_exact, {"n_max": 128, "sector": "bogus"}),
+    (snr_exact, {"n_max": 128, "noise": "bogus"}),
+    (converge_nmax, {"sector": "bogus"}),
+    (converge_nmax, {"noise": "bogus"}),
+    (thermal_observables, {"n_max": 128, "sector": "bogus"}),
+], ids=("snr_exact-sector", "snr_exact-noise", "converge_nmax-sector", "converge_nmax-noise",
+        "thermal_observables-sector"))
+def test_unknown_sector_or_noise_refused_before_any_block(monkeypatch, solve, kwargs):
+    calls = _counted_solves(monkeypatch)
+    p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.2)
+    choice = "sector" if "sector" in kwargs else "noise"
+    with pytest.raises(ParameterError, match=f"{choice} must be one of"):
+        solve(p, 20.0, **kwargs)
+    assert calls == []
+
+
+def test_snr_point_verdict_is_read_from_p_top():
+    assert [f.name for f in fields(SnrPoint)] == [
+        "beta", "snr", "snr_weak", "n_max", "p_top", "solver"]
+    assert SnrPoint(1.0, 2.0, 2.0).converged is True  # no cutoff: p_top = 0
+    assert SnrPoint(1.0, np.nan, np.nan, 8, np.nan).converged is False  # a failed row
+    with pytest.raises(TypeError):
+        SnrPoint(1.0, 2.0, 2.0, converged=False)  # the verdict is not settable
+    p = ProbeParams(N=1, epsilon=1.0, omega=1.0, g=0.5)
+    for n_max, want in ((6, False), (64, True)):
+        pt = snr_exact(p, 1.0, n_max=n_max)
+        assert pt.converged is cutoff_converged(pt.p_top) is want
 
 
 def _direct(p, beta, n_max):
@@ -568,8 +614,8 @@ def test_window_slope_is_minus_beta_var_kubo():
     # d<Jz>/d eps = -beta Var_Kubo on a window point, by central differences
     h, beta = 1e-5, 20.0
     p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.3)
-    up = thermal_observables(p.replace_epsilon(1.0 + h), beta, 64).mean_Jz
-    dn = thermal_observables(p.replace_epsilon(1.0 - h), beta, 64).mean_Jz
+    up = thermal_observables(replace(p, epsilon=1.0 + h), beta, 64).mean_Jz
+    dn = thermal_observables(replace(p, epsilon=1.0 - h), beta, 64).mean_Jz
     assert _sector_data(p, 64, beta=beta).solver["window"] > 0
     assert (up - dn) / (2 * h) == pytest.approx(djz_deps(p, beta, 64), rel=1e-6)
 
