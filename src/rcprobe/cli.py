@@ -47,16 +47,16 @@ def build_parser():
 
     p = sub.add_parser("snr", help="single exact SNR point")
     p.add_argument("--N", type=int, default=1)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--g", type=float, required=True)
+    p.add_argument("--epsilon", type=float, help="default 1; not with --ghz")
     p.add_argument("--beta-omega", type=float, required=True)
     p.add_argument("--n-max", type=int, default=64)
     p.add_argument("--noise", choices=NOISE_CHANNELS, default=NOISE_CHANNELS[0])
     p.add_argument("--sector", choices=SECTORS, default=SECTORS[0])
-    p.add_argument("--ghz", nargs=3, type=float, metavar=("EPS", "OMEGA", "G"),
-                   default=None,
-                   help="physical frequencies in GHz; --beta-omega is then read "
-                        "as a temperature in mK")
+    coupling = p.add_mutually_exclusive_group(required=True)
+    coupling.add_argument("--g", type=float)
+    coupling.add_argument("--ghz", nargs=3, type=float, metavar=("EPS", "OMEGA", "G"),
+                          help="physical frequencies in GHz in place of --epsilon and --g; "
+                               "--beta-omega is then read as a temperature in mK")
 
     p = sub.add_parser("sweep", help="run a config-driven sweep")
     p.add_argument("--config", required=True)
@@ -88,14 +88,14 @@ def build_parser():
 
 
 def _cmd_snr(args):
+    if args.ghz and args.epsilon is not None:
+        raise ParameterError("--epsilon is not allowed with --ghz, whose EPS sets it")
     if args.ghz:
-        eps, om, g = args.ghz
-        ru = convert_units(eps, om, g, args.beta_omega)
-        p = ProbeParams(args.N, ru.epsilon, 1.0, ru.g)
-        beta = ru.beta_omega
+        ru = convert_units(*args.ghz, args.beta_omega)
+        p, beta = ProbeParams(args.N, ru.epsilon, 1.0, ru.g), ru.beta_omega
     else:
-        p = ProbeParams(args.N, args.epsilon, 1.0, args.g)
-        beta = args.beta_omega
+        eps = 1.0 if args.epsilon is None else args.epsilon
+        p, beta = ProbeParams(args.N, eps, 1.0, args.g), args.beta_omega
     pt = snr_exact(p, beta, n_max=args.n_max, noise=args.noise, sector=args.sector)
     print(json.dumps({
         "beta_omega": beta, "snr": pt.snr, "snr_weak": pt.snr_weak,

@@ -20,6 +20,7 @@ block is
             cut in a gap of at least NEAR*omega: W is read from a leading block
             of the band in Fock-slow order (bandwidth <= J + 1), certified by an
             inertia count of the whole band, and only W is solved (_window);
+            a band with no off-diagonal (g = 0) keeps its whole sorted diagonal;
   dense     otherwise, a failed certificate included.
 Relative to e^{-beta e0}, floor bounds Var_proj Z and Var_Kubo Z from below:
 the state of e0 adds mult0 r0 to the first, and each of its far pairs, all
@@ -29,10 +30,10 @@ and sum w r and the Kubo pair sum (in-block, each pair at most its projective
 term) by at most w r: both by at most w <(Jz - m1)^2> <= w N^2, so C_N = N^2.
 The skip's ratio to CUT falls with beta once beta (lb - e0) > 1, as
 beta e^{-beta x} / (1 - e^{-beta a}) does (x = lb - e0, a = NEAR*omega), so a
-record serves every beta' >= beta.  floor = 0, as at g = 0 with e0 from a dense block,
-skips nothing.  Bands come from operators._parity_band, built where
-d >= D_WINDOW or where the block's least diagonal entry, an upper bound on
-lb, passes the skip test; only a dense block's sector is built.
+record serves every beta' >= beta.  floor = 0, as at g = 0, skips nothing.
+Bands come from operators._parity_band, built where d >= D_WINDOW or where
+the block's least diagonal entry, an upper bound on lb, passes the skip
+test; only a dense block's sector is built.
 
 Two noise channels are provided for the SNR denominator:
 
@@ -120,7 +121,7 @@ class SnrPoint:
 
     @property
     def converged(self):
-        """cutoff_converged(p_top): true where there is no cutoff (p_top = 0), as for dicke points."""
+        """cutoff_converged(p_top); true with no cutoff (p_top = 0), as for dicke points."""
         return cutoff_converged(self.p_top)
 
 
@@ -132,6 +133,16 @@ def cutoff_converged(p_top):
 def _check_choice(value, allowed, name):
     if value not in allowed:
         raise ParameterError(f"{name} must be one of {allowed}, got {value!r}")
+
+
+def _kubo_prefactor(beta):
+    """2/beta, for a finite beta > 0 whose 2/beta is finite too; a NumericalDomainError else."""
+    if not 0 < beta < np.inf:
+        raise NumericalDomainError(f"beta must be positive and finite, got {beta}")
+    kubo = 2 / float(beta)  # a Python float: inf on overflow, with no warning
+    if kubo == np.inf:  # beta below ~1.1e-308, where inf * 0 would make Var_Kubo nan
+        raise NumericalDomainError(f"beta = {beta} too small: 2/beta overflows a float")
+    return kubo
 
 
 def eigendecompose(A):
@@ -357,7 +368,10 @@ def _sector_data(p: ProbeParams, n_max, sector="full", beta=0.0) -> Spectra:
                 if lb > lb_skip:
                     solver["skipped"] += 1
                     continue
-                if d >= D_WINDOW:
+                if len(ab) == 1:  # g = 0: H is diagonal, and its sorted diagonal is exact
+                    o, z = np.argsort(ab[0], kind="stable"), np.zeros(d)
+                    rec = (ab[0][o], bm[o], z, z, 1.0 * (bn[o] == n_max), (o[:0], z[:0], z[:0]))
+                elif d >= D_WINDOW:
                     rec = _window(ab, bm, bn == n_max, mult, beta, e0, lb, p.omega)
         solver["dense" if rec is None else "window"] += 1
         if rec is None:
@@ -376,12 +390,7 @@ def _sector_data(p: ProbeParams, n_max, sector="full", beta=0.0) -> Spectra:
 
 def _combine(s: Spectra, beta):
     """Gibbs state at one beta from a solve's record, in O(states)."""
-    if not 0 < beta < np.inf:
-        raise NumericalDomainError(f"beta must be positive and finite, got {beta}")
-    with np.errstate(over="ignore"):
-        kubo = 2 / beta  # the Kubo sum's prefactor
-    if kubo == np.inf:  # beta below ~1.1e-308, where inf * 0 would make Var_Kubo nan
-        raise NumericalDomainError(f"beta = {beta} too small: 2/beta overflows a float")
+    kubo = _kubo_prefactor(beta)
     e0 = s.E.min()
     with np.errstate(over="ignore"):  # beta (E - e0) beyond the float range: weight 0
         w = s.mult * np.exp(-beta * (s.E - e0))
@@ -410,6 +419,7 @@ def _combine(s: Spectra, beta):
 
 def thermal_observables(p: ProbeParams, beta, n_max, sector="full"):
     """Partition function and Jz moments of the composite Gibbs state."""
+    _kubo_prefactor(beta)  # refused before any block is solved
     return _combine(_sector_data(p, n_max, sector, beta), beta)
 
 
@@ -437,13 +447,13 @@ def _point(p: ProbeParams, spectra: Spectra, beta, noise) -> SnrPoint:
 def snr_exact(p: ProbeParams, beta, n_max=128, noise="auto", sector="full"):
     """Exact SNR S = |d<Jz>/d eps|^2 / noise at one parameter point.
 
-    `noise` selects the variance channel and `sector` the spin sectors summed
-    (see module docstring); any other value is a ParameterError.  Returns
-    SnrPoint(beta, snr, snr_weak, n_max, p_top, solver); snr_weak is the closed-form
-    g = 0 value, p_top the top Fock level's population, solver how the blocks were
-    solved (see Spectra), and its converged property is cutoff_converged(p_top).
+    `noise` selects the variance channel and `sector` the spin sectors summed (see
+    module docstring); any other value is a ParameterError.  Returns SnrPoint(beta,
+    snr, snr_weak, n_max, p_top, solver): snr_weak is the closed-form g = 0 value,
+    p_top the top Fock level's population and solver how the blocks were solved.
     """
     _check_choice(noise, NOISE_CHANNELS, "noise")
+    _kubo_prefactor(beta)
     return _point(p, _sector_data(p, n_max, sector, beta), beta, noise)
 
 
@@ -456,6 +466,7 @@ def converge_nmax(p: ProbeParams, beta, noise="auto", sector="full") -> SnrPoint
     largest sector would exceed operators.DIM_CAP, with a ConvergenceError.
     """
     _check_choice(noise, NOISE_CHANNELS, "noise")
+    _kubo_prefactor(beta)
     n = NMAX_START
     while n <= NMAX_CAP and (p.N + 1) * (n + 1) <= operators.DIM_CAP:
         spectra = _sector_data(p, n, sector, beta)

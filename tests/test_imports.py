@@ -40,8 +40,10 @@ steps = {{"import": loaded()}}
 
 def _steps(body, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # -W: a leaked RuntimeWarning fails the run, as under the suite's own filter
     proc = subprocess.run(
-        [sys.executable, "-c", PRELUDE + body + "\nprint(json.dumps(steps))", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c",
+         PRELUDE + body + "\nprint(json.dumps(steps))", *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -13,8 +13,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 def _run(script, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # -W: a leaked RuntimeWarning fails the run, as under the suite's own filter
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / script),
+         *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

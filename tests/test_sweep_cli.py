@@ -22,6 +22,7 @@ from rcprobe.sweep import (
     run_sweep,
 )
 from rcprobe.thermal import converge_nmax, cutoff_converged, snr_exact
+from rcprobe.units import convert_units
 
 MINIMAL = """
 schema_version = 1
@@ -95,12 +96,25 @@ def test_parse_comments_and_range():
          "grid_axis = beta_omega\ngrid_values = 1", "g"),
         ("schema_version = 1\nmodel = dicke\ngbar = 0.9\n"
          "grid_axis = g_over_omega\ngrid_values = 0.1", "grid_axis"),
+        ("schema_version = 1\nmodel weak\ngrid_axis = beta_omega\ngrid_values = 1", None),
+        ("schema_version = 1\nmodel = weak\nepsilon = abc\ngrid_axis = beta_omega\n"
+         "grid_values = 1", "epsilon"),
+        ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\ngrid_start = 1\n"
+         "grid_stop = 5\ngrid_points = 3\ngrid_scale = cubic", "grid_scale"),
+        ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\n"
+         "grid_values = 1\nn_max = 0", "n_max"),
     ],
 )
-def test_parse_errors_carry_field(text, field):
+def test_parse_errors_carry_field(tmp_path, capsys, text, field):
     with pytest.raises(ConfigError) as exc:
         parse_config_text(text)
     assert exc.value.field == field
+    # and `rcprobe sweep` reports the same error as a config error
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"config error: {exc.value}\n"
 
 
 def test_parse_caps_grid_points_before_allocating():
@@ -237,6 +251,27 @@ def test_cli_snr_prints_strict_json_from_one_solve(monkeypatch, capsys, beta):
     assert out["converged"] is cutoff_converged(out["p_top"])
 
 
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refuses a usage error itself
+        return exc.code
+
+
+def test_cli_snr_ghz_is_the_reduced_unit_point(capsys):
+    ghz = ["snr", "--ghz", "3.84", "5.588", "5.63", "--beta-omega", "45", "--n-max", "24"]
+    assert main(ghz) == 0
+    out = _strict_json(capsys.readouterr().out)
+    ru = convert_units(3.84, 5.588, 5.63, 45.0)
+    pt = snr_exact(ProbeParams(N=1, epsilon=ru.epsilon, omega=1.0, g=ru.g), ru.beta_omega, 24)
+    assert (out["beta_omega"], out["snr"], out["p_top"]) == (ru.beta_omega, pt.snr, pt.p_top)
+    # EPS and G take the place of --epsilon and --g, which --ghz refuses; without it,
+    # --g is required
+    for argv in (ghz + ["--g", "0"], ghz + ["--epsilon", "1"], ["snr", "--beta-omega", "5"]):
+        assert _exit_code(argv) == EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_sweep_and_fit_files(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(
@@ -318,12 +353,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     for beta in ("1e-50", "1e-300", "1e-310"):
         assert main(["snr", "--g", "0.3", "--beta-omega", beta]) == EXIT_DOMAIN
     assert capsys.readouterr().out == ""
-    # a beta whose 2/beta overflows, also where every R_i is 0: refused by name, no warning
-    for g in ("0", "1e-9"):
-        assert main(["snr", "--g", g, "--beta-omega", "1e-320", "--n-max", "8"]) == EXIT_DOMAIN
+    # a beta whose 2/beta overflows, also where every R_i is 0 and where a block is large
+    # enough for the window route: refused by name, no warning
+    for g, N, n_max in (("0", "1", "8"), ("1e-9", "1", "8"), ("0.2", "10", "128")):
+        assert main(["snr", "--g", g, "--N", N, "--beta-omega", "1e-320", "--n-max", n_max]) \
+            == EXIT_DOMAIN
     out = capsys.readouterr()
     assert out.out == "" and "Warning" not in out.err
-    assert out.err.count("beta = 1e-320 too small: 2/beta overflows a float") == 2
+    assert out.err.count("beta = 1e-320 too small: 2/beta overflows a float") == 3
     # a quadrature tolerance that is not positive
     assert main(["map-spectral", "--tol", "0"]) == EXIT_CONFIG
     assert "quadrature_tol" in capsys.readouterr().err

@@ -465,10 +465,15 @@ def test_block_records_are_one_dimensional():
 
 
 @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
-def test_nonfinite_or_nonpositive_beta_rejected(beta):
+def test_nonfinite_or_nonpositive_beta_rejected(monkeypatch, beta):
+    # refused before any block is built or solved, at every entry point
+    calls = _counted_solves(monkeypatch)
     p = ProbeParams(N=2, epsilon=1.0, omega=1.0, g=0.3)
-    with pytest.raises(NumericalDomainError, match="beta must be positive and finite"):
-        thermal_observables(p, beta, 8)
+    for solve in (lambda: thermal_observables(p, beta, 8), lambda: snr_exact(p, beta, 8),
+                  lambda: converge_nmax(p, beta)):
+        with pytest.raises(NumericalDomainError, match="beta must be positive and finite"):
+            solve()
+    assert calls == []
 
 
 @pytest.mark.parametrize("N, g, beta", [(1, 0.3, 1e-50), (2, 0.5, 1e-20),
@@ -483,12 +488,14 @@ def test_kubo_sum_without_precision_rejected(N, g, beta):
 
 @pytest.mark.parametrize("g", [0.0, 1e-9, 0.3])
 @pytest.mark.parametrize("beta", [1e-320, np.float64(1e-310)])
-def test_beta_whose_kubo_prefactor_overflows_rejected(g, beta):
+def test_beta_whose_kubo_prefactor_overflows_rejected(monkeypatch, g, beta):
     # 2/beta overflows below beta ~ 1.1e-308; at g = 0 every R_i is 0, and inf * 0
     # would leave Var_Kubo nan with a RuntimeWarning, an error under the suite's filter
+    calls = _counted_solves(monkeypatch)
     p = ProbeParams(N=1, epsilon=1.0, omega=1.0, g=g)
     with pytest.raises(NumericalDomainError, match=f"beta = {beta} too small"):
         snr_exact(p, beta, n_max=8)
+    assert calls == []
 
 
 def test_multiplicities_fit_a_float_below_n_float():
@@ -829,6 +836,21 @@ def test_nearly_jz_eigenstate_ground_state_skips_without_moving_s():
     assert rec.solver["skipped"] == 1
     assert _point(p, rec, 40.0, "auto").snr == pytest.approx(
         _point(p, _sector_data(p, 12), 40.0, "auto").snr, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_max", [64, 128])
+def test_zero_coupling_bands_keep_their_exact_diagonal(n_max):
+    # at g = 0 a band has no off-diagonal, and its sorted diagonal is the exact record:
+    # r0 = R0 = 0, so no block is skipped.  A window read them as rounding noise and
+    # skipped the blocks that carry the variance: var_Jz 2.4e-52 for 1.4e-86 at 200
+    p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.0)
+    dense = _sector_data(p, n_max)
+    for beta in (20.0, 60.0, 200.0):
+        rec = _sector_data(p, n_max, beta=beta)
+        assert rec.solver["skipped"] == 0 and rec.solver["window"] > 0
+        got, ref = _combine(rec, beta), _combine(dense, beta)
+        for name in ("var_Jz", "var_Jz_kubo"):
+            assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=1e-10, abs=0)
 
 
 @pytest.mark.parametrize("N", [1, 4, 10])
