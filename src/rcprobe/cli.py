@@ -88,9 +88,9 @@ def build_parser():
 
 
 def _cmd_snr(args):
-    if args.ghz and args.epsilon is not None:
-        raise ParameterError("--epsilon is not allowed with --ghz, whose EPS sets it")
     if args.ghz:
+        if args.epsilon is not None:
+            raise ParameterError("--epsilon is not allowed with --ghz, whose EPS sets it")
         ru = convert_units(*args.ghz, args.beta_omega)
         p, beta = ProbeParams(args.N, ru.epsilon, 1.0, ru.g), ru.beta_omega
     else:

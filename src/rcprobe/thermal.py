@@ -368,7 +368,7 @@ def _sector_data(p: ProbeParams, n_max, sector="full", beta=0.0) -> Spectra:
                 if lb > lb_skip:
                     solver["skipped"] += 1
                     continue
-                if len(ab) == 1:  # g = 0: H is diagonal, and its sorted diagonal is exact
+                if len(ab) == 1:  # g = 0: H and Jz are diagonal, so r = R = 0 and no pair is near
                     o, z = np.argsort(ab[0], kind="stable"), np.zeros(d)
                     rec = (ab[0][o], bm[o], z, z, 1.0 * (bn[o] == n_max), (o[:0], z[:0], z[:0]))
                 elif d >= D_WINDOW:
