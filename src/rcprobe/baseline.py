@@ -32,8 +32,8 @@ def _log_cosh(y):
 
 def weak_snr(N, epsilon, beta):
     """Closed-form Gibbs-state observables and SNR for the bare probe."""
-    if beta <= 0:
-        raise ParameterError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ParameterError(f"beta must be positive and finite, got {beta}")
     half = 0.5 * beta * epsilon
     mean = -0.5 * N * math.tanh(half)
     var = 0.25 * N * math.exp(-2.0 * _log_cosh(half))  # sech^2(half) without overflow

@@ -115,7 +115,7 @@ def _cmd_dicke(args):
     normal, sup = hp_excitations(p)
     print(json.dumps({
         "phase": sol.phase,
-        "Tc": sol.Tc if np.isfinite(sol.Tc) else None,
+        "Tc": sol.Tc,
         "eta": sol.eta, "z0": sol.z0, "lnZ_per_N": sol.lnZ / p.N,
         "snr_per_N": sol.snr_per_N,
         "hp_normal": [None if np.isnan(v) else v for v in normal],

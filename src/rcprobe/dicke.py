@@ -63,7 +63,7 @@ class DickeParams:
 @dataclass(frozen=True)
 class DickeSolution:
     phase: str
-    Tc: float  # inf when mu >= 1 never reached; 0 disallowed
+    Tc: float | None  # None when mu >= 1: no transition
     eta: float  # 1 in the normal phase
     z0: float
     lnZ: float
@@ -203,10 +203,8 @@ def dicke_solution(p: DickeParams, beta) -> DickeSolution:
     except (OverflowError, ZeroDivisionError) as exc:  # where numpy would give inf or nan
         raise NumericalDomainError(f"{p} at beta = {beta} leaves the float range: "
                                   f"{type(exc).__name__}") from None
-    return DickeSolution(
-        phase=phase, Tc=math.inf if tc is None else tc, eta=eta, z0=z0,
-        lnZ=lnz, snr=s.snr, snr_weak=s.snr_weak, snr_per_N=s.snr / p.N,
-    )
+    return DickeSolution(phase=phase, Tc=tc, eta=eta, z0=z0, lnZ=lnz, snr=s.snr,
+                         snr_weak=s.snr_weak, snr_per_N=s.snr / p.N)
 
 
 def hp_excitations(p: DickeParams):

@@ -146,8 +146,8 @@ def grwa_spectrum(blocks):
 
 def grwa_partition(blocks, beta):
     """Shift-stabilized lnZ over every block eigenvalue."""
-    if beta <= 0:
-        raise NumericalDomainError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise NumericalDomainError(f"beta must be positive and finite, got {beta}")
     ev = grwa_spectrum(blocks)
     return scipy.special.logsumexp(-beta * ev)
 
@@ -202,8 +202,8 @@ def asymptotic_snr(N, derivs: GroundEnergyDerivs, beta):
     4 (d2E)^2 / (1 - 4 (dE)^2); N >= 2: thermal susceptibility gives
     -beta * d2E (grows as 1/T).
     """
-    if beta <= 0:
-        raise NumericalDomainError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise NumericalDomainError(f"beta must be positive and finite, got {beta}")
     if N == 1:
         den = 1.0 - 4.0 * derivs.dE_deps**2
         if den <= 0:

@@ -26,10 +26,12 @@ Recognized keys:
                    population of the top Fock level); an auto row takes the
                    first cutoff in 16, 32, 64, ... that passes this test
 
-A fixed-cutoff rabi_exact sweep along beta_omega has one Hamiltonian: it is
-solved once, at the cutoff and the grid's least beta_omega (a block record
-made for one beta serves every larger one), before the rows are evaluated,
-and every row's temperature and verdict are read from those spectra.
+Every exact solve has one entry, thermal._sector_data, which refuses a beta whose
+2/beta overflows (below ~1.1e-308) before any block; such a row reads NaN.  A
+fixed-cutoff rabi_exact sweep along beta_omega has one Hamiltonian: it is solved
+once, at the cutoff and the least grid beta_omega that entry accepts (a record made
+for one beta serves every larger one), before the rows are evaluated, and every
+accepted row's temperature and verdict are read from those spectra.
 Along any other axis each row solves its own Hamiltonian, so under
 jobs > 1 the solves run concurrently; n_max = "auto" rows run the doubling
 loop per point.
@@ -252,13 +254,13 @@ def run_sweep(cfg: SweepConfig, jobs=1):
     xs = sorted(cfg.grid)
     spectra = None
     if cfg.model == "rabi_exact" and cfg.n_max != "auto" and cfg.grid_axis == "beta_omega":
-        # a fixed-cutoff beta sweep: one Hamiltonian for every row, solved for the
-        # least beta, so that it serves every row
-        try:
-            p, beta = _point_params(cfg, xs[0])
-            spectra = _sector_data(p, cfg.n_max, cfg.sector, beta)
-        except RcprobeError:
-            pass  # each row repeats the solve and fails on its own
+        for x in xs:  # one Hamiltonian for every row, solved at the least beta accepted
+            try:
+                p, beta = _point_params(cfg, x)
+                spectra = _sector_data(p, cfg.n_max, cfg.sector, beta)
+                break
+            except RcprobeError:
+                pass  # refused before any block; that row fails on its own
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(lambda x: _row(cfg, x, spectra), xs))
@@ -291,16 +293,14 @@ def fit_scaling(rows, window) -> ScalingFit:
     x = -np.log([r["beta_omega"] for r in pts])  # = ln T + const
     y = np.log([r["snr"] for r in pts])
     A = np.vstack([x, np.ones_like(x)]).T
-    coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    theta = coef[0]
-    yhat = A @ coef
-    ss_res = float(np.sum((y - yhat) ** 2))
+    coef = np.linalg.lstsq(A, y, rcond=None)[0]
+    ss_res = float(np.sum((y - A @ coef) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - ss_res / ss_tot)
     dof = len(pts) - 2
     sxx = float(np.sum((x - x.mean()) ** 2))
     stderr = float(np.sqrt(ss_res / dof / sxx)) if dof > 0 and sxx > 0 else float("nan")
-    return ScalingFit(theta=float(theta), stderr=stderr, window=(lo, hi), r_squared=r2)
+    return ScalingFit(theta=float(coef[0]), stderr=stderr, window=(lo, hi), r_squared=r2)
 
 
 def emit_csv(rows):
@@ -323,17 +323,7 @@ def _fmt(v):
 
 def parse_csv(text):
     """Inverse of emit_csv: round-trips all row values."""
-    rows = []
-    for rec in csv.DictReader(io.StringIO(text)):
-        rows.append({
-            "grid_value": float(rec["grid_value"]),
-            "beta_omega": float(rec["beta_omega"]),
-            "snr": float(rec["snr"]),
-            "snr_weak": float(rec["snr_weak"]),
-            "delta_snr": float(rec["delta_snr"]),
-            "n_max": int(rec["n_max"]),
-            "converged": rec["converged"] == "true",
-            "phase": rec["phase"],
-            "eta": float(rec["eta"]) if rec["eta"] else "",
-        })
-    return rows
+    return [{**{k: float(rec[k]) for k in COLUMNS[:5]},  # grid_value .. delta_snr
+             "n_max": int(rec["n_max"]), "converged": rec["converged"] == "true",
+             "phase": rec["phase"], "eta": float(rec["eta"]) if rec["eta"] else ""}
+            for rec in csv.DictReader(io.StringIO(text))]

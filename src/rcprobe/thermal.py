@@ -343,13 +343,15 @@ class Spectra(NamedTuple):
     n_max: int  # the Fock cutoff solved at
 
 
-def _sector_data(p: ProbeParams, n_max, sector="full", beta=0.0) -> Spectra:
+def _sector_data(p: ProbeParams, n_max, sector="full", beta=None) -> Spectra:
     """The Spectra of every parity block, valid at every inverse temperature >= beta.
 
-    Each block is skipped, windowed or dense by the rule of the module
-    docstring.  At beta = 0, the default, every block is dense: the record
-    serves every beta.
+    The one entry into the solve: a beta that _kubo_prefactor refuses (0, nan, inf, or
+    below ~1.1e-308, where 2/beta overflows), as a sector, cutoff or N that _blocks
+    refuses, is refused before any block.  Each block is skipped, windowed or dense by
+    the rule of the module docstring; at beta = None, the default, every block is dense.
     """
+    kubo = None if beta is None else _kubo_prefactor(beta) * -np.expm1(-beta * NEAR * p.omega)
     nb = n_max + 1
     recs = []
     solver = dict.fromkeys(("dense", "window", "skipped", "states"), 0)
@@ -357,7 +359,7 @@ def _sector_data(p: ProbeParams, n_max, sector="full", beta=0.0) -> Spectra:
     for J, mult, k, rows, H in _blocks(p, n_max, sector):
         d, rec = len(rows), None
         m, n = rows // nb - J, rows % nb
-        if 0 < beta < np.inf:
+        if beta is not None:
             with np.errstate(divide="ignore", over="ignore"):  # inf where floor = 0 or e0 = inf
                 lb_skip = e0 + max(1.0, np.log(mult * d * p.N**2 / CUT) - np.log(floor)) / beta
             if d >= D_WINDOW or (p.epsilon * m + p.omega * n).min() > lb_skip:  # min H_ii >= lb
@@ -381,8 +383,7 @@ def _sector_data(p: ProbeParams, n_max, sector="full", beta=0.0) -> Spectra:
         E, d1, r, R, t, (i, gap, m2) = rec
         recs.append((np.full(len(E), mult), E, d1, r, R, t, i + solver["states"], gap, m2))
         solver["states"] += len(E)
-        if E[0] < e0:  # (2/beta)(1 - e^{-beta NEAR omega}) R0 as 2 NEAR omega phi R0: no overflow
-            kubo = 2 * NEAR * p.omega * _phi(beta * NEAR * p.omega)
+        if beta is not None and E[0] < e0:  # kubo: (2/beta)(1 - e^{-beta NEAR omega})
             e0, floor = E[0], mult * max(0.0, min(r[0], kubo * R[0]))  # a window's R0 rounds
     mult, E, d1, r, R, t, i, gap, m2 = (np.concatenate(a) for a in zip(*recs))
     return Spectra(mult, E, d1, r, R, t, (i, gap, m2), solver, n_max)
@@ -419,7 +420,6 @@ def _combine(s: Spectra, beta):
 
 def thermal_observables(p: ProbeParams, beta, n_max, sector="full"):
     """Partition function and Jz moments of the composite Gibbs state."""
-    _kubo_prefactor(beta)  # refused before any block is solved
     return _combine(_sector_data(p, n_max, sector, beta), beta)
 
 
@@ -453,7 +453,6 @@ def snr_exact(p: ProbeParams, beta, n_max=128, noise="auto", sector="full"):
     p_top the top Fock level's population and solver how the blocks were solved.
     """
     _check_choice(noise, NOISE_CHANNELS, "noise")
-    _kubo_prefactor(beta)
     return _point(p, _sector_data(p, n_max, sector, beta), beta, noise)
 
 
@@ -462,14 +461,19 @@ def converge_nmax(p: ProbeParams, beta, noise="auto", sector="full") -> SnrPoint
 
     That is the first cutoff from NMAX_START at which the fitted truncation
     estimate TOP_C * p_top is below REL_TOL (cutoff_converged); S is formed
-    at it alone.  The doubling stops at NMAX_CAP, or where the next cutoff's
-    largest sector would exceed operators.DIM_CAP, with a ConvergenceError.
+    at it alone.  The first cutoff is refused as any solve at it would be; the
+    doubling stops at NMAX_CAP, or at a later cutoff the solve refuses (its
+    largest sector over operators.DIM_CAP), with a ConvergenceError.
     """
     _check_choice(noise, NOISE_CHANNELS, "noise")
-    _kubo_prefactor(beta)
     n = NMAX_START
-    while n <= NMAX_CAP and (p.N + 1) * (n + 1) <= operators.DIM_CAP:
-        spectra = _sector_data(p, n, sector, beta)
+    while n <= NMAX_CAP:
+        try:
+            spectra = _sector_data(p, n, sector, beta)
+        except NumericalDomainError:
+            if n == NMAX_START:
+                raise
+            break
         if cutoff_converged(_combine(spectra, beta).p_top):  # O(states), beside the solve
             return _point(p, spectra, beta, noise)
         n *= 2

@@ -27,6 +27,9 @@ def test_tc_boundary_none():
     assert critical_temperature(p) is None
     weak = DickeParams(epsilon=1.0, omega=1.0, gbar=0.3)
     assert critical_temperature(weak) is None
+    # no transition reads None throughout, not an inf Tc ("superradiant at every T")
+    for q in (p, weak):
+        assert dicke_solution(q, 2.0).Tc is None
 
 
 def test_tc_strong_coupling_asymptote():

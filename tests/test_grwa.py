@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
-from rcprobe.errors import ConsistencyError, NumericalDomainError
+from rcprobe.baseline import weak_snr
+from rcprobe.errors import ConsistencyError, NumericalDomainError, ParameterError
 from rcprobe.grwa import (
     asymptotic_snr,
     build_grwa_blocks,
@@ -352,3 +353,17 @@ def test_bad_inputs():
         coefficient_F(-1, 0, 0.5)
     with pytest.raises(NumericalDomainError):
         grwa_partition([], 0.0)
+
+
+@pytest.mark.parametrize("beta", [math.inf, math.nan])
+def test_closed_forms_refuse_a_nonfinite_beta(beta):
+    # refused by name, each in its own error class, not a nan or inf result; weak_snr's
+    # ParameterError is a ValueError
+    with pytest.raises(ParameterError, match="beta must be positive and finite"):
+        weak_snr(2, 1.0, beta)
+    d = ground_energy_derivs(2, 1.0, 1.0, 0.3)
+    blocks = build_grwa_blocks(1, 1.0, 1.0, 0.3, solve_lambda(1.0, 1.0, 0.3).lam, 4)
+    for solve in (lambda: asymptotic_snr(1, d, beta), lambda: asymptotic_snr(2, d, beta),
+                  lambda: grwa_partition(blocks, beta)):
+        with pytest.raises(NumericalDomainError, match="beta must be positive and finite"):
+            solve()

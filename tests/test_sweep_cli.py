@@ -361,6 +361,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == "" and "Warning" not in out.err
     assert out.err.count("beta = 1e-320 too small: 2/beta overflows a float") == 3
+    # a beta sweep through such a beta: that row fails on its own, the run succeeds
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text(TINY_BETA_SWEEP)
+    assert main(["sweep", "--config", str(tiny)]) == 0
+    out = capsys.readouterr()
+    assert out.out.splitlines()[1].startswith("1e-320,1e-320,nan,") and out.err == ""
     # a quadrature tolerance that is not positive
     assert main(["map-spectral", "--tol", "0"]) == EXIT_CONFIG
     assert "quadrature_tol" in capsys.readouterr().err
@@ -607,6 +613,31 @@ def test_distinct_hamiltonians_solve_concurrently(monkeypatch):
     rows = run_sweep(cfg, jobs=2)
     monkeypatch.undo()
     assert rows == [_reference_row(cfg, x) for x in cfg.grid]
+
+
+TINY_BETA_SWEEP = """
+schema_version = 1
+model = rabi_exact
+N = 10
+g = 0.2
+n_max = 128
+grid_axis = beta_omega
+grid_values = 1e-320, 20
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_beta_sweep_shares_the_least_accepted_beta_solve(solve_calls, jobs):
+    # 2/beta overflows at beta*omega = 1e-320: the solve refuses that beta before any
+    # block, and the shared record is made at beta*omega = 20, the least one it accepts
+    p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.2)
+    ref = snr_exact(p, 20.0, n_max=128)
+    expected, solve_calls[:] = list(solve_calls), []
+    tiny, cold = run_sweep(parse_config_text(TINY_BETA_SWEEP), jobs=jobs)
+    assert solve_calls == expected
+    assert math.isnan(tiny["snr"]) and tiny["converged"] is False and tiny["n_max"] == 128
+    assert cold["snr"] == ref.snr and cold["converged"] is True
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -297,6 +297,18 @@ def test_converge_nmax_stops_at_the_dimension_cap(monkeypatch):
             thermal_observables(p, 1.0, 64, sector)
 
 
+def test_converge_nmax_refuses_a_first_cutoff_over_the_cap(solve_calls):
+    # the first cutoff reaches the solve and is refused as snr_exact refuses it, before
+    # any block: a NumericalDomainError (CLI exit 4), not a cutoff that was never tried
+    p = ProbeParams(N=1200, epsilon=1.0, omega=1.0, g=0.1)
+    for solve in (lambda: converge_nmax(p, 1.0, sector="maximal"),
+                  lambda: snr_exact(p, 1.0, thermal.NMAX_START, sector="maximal")):
+        with pytest.raises(NumericalDomainError,
+                           match="composite dimension 20417 exceeds cap 20000"):
+            solve()
+    assert solve_calls == []
+
+
 def test_reduced_state_g0_gibbs():
     p = ProbeParams(N=2, epsilon=0.8, omega=1.0, g=1e-9)
     beta = 3.0
@@ -352,19 +364,6 @@ def test_maximal_sector_flag():
     assert full.lnZ > maximal.lnZ  # sub-maximal sectors add weight
 
 
-def _counted_solves(monkeypatch):
-    """A list that collects the name of each band, sector build and dense solve made."""
-    calls = []
-    for module, name in ((operators, "_parity_band"), (thermal, "build_mapped_hamiltonian"),
-                         (thermal, "eigendecompose")):
-        def counted(*args, name=name, call=getattr(module, name)):
-            calls.append(name)
-            return call(*args)
-
-        monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("solve, kwargs", [
     (snr_exact, {"n_max": 128, "sector": "bogus"}),
     (snr_exact, {"n_max": 128, "noise": "bogus"}),
@@ -373,13 +372,12 @@ def _counted_solves(monkeypatch):
     (thermal_observables, {"n_max": 128, "sector": "bogus"}),
 ], ids=("snr_exact-sector", "snr_exact-noise", "converge_nmax-sector", "converge_nmax-noise",
         "thermal_observables-sector"))
-def test_unknown_sector_or_noise_refused_before_any_block(monkeypatch, solve, kwargs):
-    calls = _counted_solves(monkeypatch)
+def test_unknown_sector_or_noise_refused_before_any_block(solve_calls, solve, kwargs):
     p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.2)
     choice = "sector" if "sector" in kwargs else "noise"
     with pytest.raises(ParameterError, match=f"{choice} must be one of"):
         solve(p, 20.0, **kwargs)
-    assert calls == []
+    assert solve_calls == []
 
 
 def test_snr_point_verdict_is_read_from_p_top():
@@ -465,15 +463,15 @@ def test_block_records_are_one_dimensional():
 
 
 @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
-def test_nonfinite_or_nonpositive_beta_rejected(monkeypatch, beta):
-    # refused before any block is built or solved, at every entry point
-    calls = _counted_solves(monkeypatch)
+def test_nonfinite_or_nonpositive_beta_rejected(solve_calls, beta):
+    # refused before any block is built or solved, at every entry point and at the
+    # one door they share; the all-dense record is asked for with beta = None, not 0
     p = ProbeParams(N=2, epsilon=1.0, omega=1.0, g=0.3)
     for solve in (lambda: thermal_observables(p, beta, 8), lambda: snr_exact(p, beta, 8),
-                  lambda: converge_nmax(p, beta)):
+                  lambda: converge_nmax(p, beta), lambda: _sector_data(p, 8, beta=beta)):
         with pytest.raises(NumericalDomainError, match="beta must be positive and finite"):
             solve()
-    assert calls == []
+    assert solve_calls == []
 
 
 @pytest.mark.parametrize("N, g, beta", [(1, 0.3, 1e-50), (2, 0.5, 1e-20),
@@ -488,14 +486,13 @@ def test_kubo_sum_without_precision_rejected(N, g, beta):
 
 @pytest.mark.parametrize("g", [0.0, 1e-9, 0.3])
 @pytest.mark.parametrize("beta", [1e-320, np.float64(1e-310)])
-def test_beta_whose_kubo_prefactor_overflows_rejected(monkeypatch, g, beta):
+def test_beta_whose_kubo_prefactor_overflows_rejected(solve_calls, g, beta):
     # 2/beta overflows below beta ~ 1.1e-308; at g = 0 every R_i is 0, and inf * 0
     # would leave Var_Kubo nan with a RuntimeWarning, an error under the suite's filter
-    calls = _counted_solves(monkeypatch)
     p = ProbeParams(N=1, epsilon=1.0, omega=1.0, g=g)
     with pytest.raises(NumericalDomainError, match=f"beta = {beta} too small"):
         snr_exact(p, beta, n_max=8)
-    assert calls == []
+    assert solve_calls == []
 
 
 def test_multiplicities_fit_a_float_below_n_float():
@@ -551,7 +548,7 @@ WINDOW_TALLIES = [(0, 7, 5, 12), (3, 4, 5, 627), (1, 4, 7, 234), (0, 2, 10, 6),
 def test_window_records_match_dense(N, eps, g, beta, n_max):
     p = ProbeParams(N=N, epsilon=eps, omega=1.0, g=g)
     window = _sector_data(p, n_max, beta=beta)
-    dense = _sector_data(p, n_max)  # beta = 0: every block dense, valid at every beta
+    dense = _sector_data(p, n_max)  # beta = None: every block dense, valid at every beta
     tally = WINDOW_TALLIES[WINDOW_POINTS.index((N, eps, g, beta, n_max))]
     assert tuple(window.solver.values()) == tally
     sectors = sector_multiplicities(N).sectors
@@ -608,13 +605,13 @@ def test_solver_counts_add_up(N, eps, g, beta, n_max):
     # every parity block is counted once, as dense, window or skipped, and
     # `states` is the length of the record
     p = ProbeParams(N=N, epsilon=eps, omega=1.0, g=g)
-    for b in (beta, 0.0):
+    for b in (beta, None):
         s = _sector_data(p, n_max, beta=b)
         c = s.solver
         assert c["dense"] + c["window"] + c["skipped"] == 2 * len(sector_multiplicities(N).sectors)
         assert c["states"] == len(s.E)
         assert all(len(a) == len(s.E) for a in s[:6])
-        assert (c["window"] > 0) == (b > 0)
+        assert (c["window"] > 0) == (b is not None)
 
 
 def test_window_slope_is_minus_beta_var_kubo():
