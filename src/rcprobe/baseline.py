@@ -47,6 +47,27 @@ def weak_log_snr(N, epsilon, beta):
     return math.log(N) + 2.0 * math.log(beta) - math.log(4.0) - 2.0 * _log_cosh(half)
 
 
+def _root(f, lo, hi):
+    """A root of f on [lo, hi] (f(lo) != 0, f(hi) of the other sign or 0): regula falsi
+    with the Illinois rule, else bisection, until lo and hi are adjacent floats with f
+    changing sign between them; returns the one of smaller |f|.  dicke and grwa share it."""
+    flo, fhi, moved = f(lo), f(hi), 0  # moved: the end replaced last, -1 lo or +1 hi
+    below = flo < 0.0  # the sign at lo, kept: a halved f may underflow to 0
+    while True:
+        x = hi - fhi * (hi - lo) / (fhi - flo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                return lo if abs(flo) <= abs(fhi) else hi
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == below:
+            lo, flo, fhi, moved = x, fx, fhi / (2.0 if moved < 0 else 1.0), -1
+        else:
+            hi, fhi, flo, moved = x, fx, flo / (2.0 if moved > 0 else 1.0), 1
+
+
 def weak_lowT_asymptote(epsilon, T, N):
     """Leading low-temperature term N beta^2 exp(-beta*eps).
 

@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy
 
-from .baseline import weak_snr
+from .baseline import _root, weak_snr
 from .errors import NumericalDomainError, ParameterError
 from .thermal import SnrPoint, ThermalObservables
 
@@ -96,7 +95,7 @@ def solve_eta(p: DickeParams, beta):
         return 1.0
     if f(hi) <= 0.0:  # tanh rounds to 1 and hi*mu below it: the root is hi to rounding
         return hi
-    return scipy.optimize.brentq(f, 1.0, hi, xtol=1e-14, rtol=8.9e-16)
+    return _root(f, 1.0, hi)
 
 
 def phi(p: DickeParams, beta, z):

@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
+from .baseline import _root
 from .errors import BracketError, ConsistencyError, NumericalDomainError
 
 
@@ -61,12 +61,9 @@ def solve_lambda(epsilon, omega, g) -> LambdaSolution:
     hi = (g / omega) * (1.0 + epsilon / omega) + 1.0
     f0 = _lambda_eq(0.0, epsilon, omega, g)
     f1 = _lambda_eq(hi, epsilon, omega, g)
-    if f0 * f1 > 0:
-        raise BracketError(
-            f"no sign change on [0, {hi}]: f(0)={f0:.3e}, f(hi)={f1:.3e}"
-        )
-    lam = scipy.optimize.brentq(_lambda_eq, 0.0, hi, args=(epsilon, omega, g),
-                                xtol=1e-12, rtol=8.9e-16)
+    if not f0 * f1 <= 0:  # nan included: f(hi) can be inf * 0
+        raise BracketError(f"no sign change on [0, {hi}]: f(0)={f0:.3e}, f(hi)={f1:.3e}")
+    lam = _root(lambda lam: _lambda_eq(lam, epsilon, omega, g), 0.0, hi)
     return LambdaSolution(lam, _lambda_eq(lam, epsilon, omega, g))
 
 
@@ -148,8 +145,9 @@ def grwa_partition(blocks, beta):
     """Shift-stabilized lnZ over every block eigenvalue."""
     if not 0 < beta < math.inf:
         raise NumericalDomainError(f"beta must be positive and finite, got {beta}")
-    ev = grwa_spectrum(blocks)
-    return scipy.special.logsumexp(-beta * ev)
+    x = -beta * grwa_spectrum(blocks)
+    m = x.max()  # the shifted sum of thermal._combine: m + ln sum e^(x - m)
+    return m + np.log(np.exp(x - m).sum())
 
 
 def grwa_mean_jz(N, epsilon, omega, g, beta, n_max):

@@ -486,8 +486,9 @@ def reduced_probe_state(p: ProbeParams, beta, n_max, sector="full"):
     Returns (rho, labels): rho is the 2^N x 2^N (sector="full") matrix in
     the direct-sum coupled basis, with each J block repeated per its
     multiplicity; labels lists (J, copy_index) per block.  Trace 1,
-    symmetric, positive semidefinite.
+    symmetric, positive semidefinite.  A beta _kubo_prefactor refuses is refused first.
     """
+    _kubo_prefactor(beta)
     raw = list(_parity_blocks(p, n_max, sector))
     e0 = min(E[0] for _, _, _, E, _ in raw)
     blocks = {}  # J -> (mult, rho), in sector order

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcprobe.baseline import weak_log_snr, weak_lowT_asymptote, weak_snr
+from rcprobe.baseline import _root, weak_log_snr, weak_lowT_asymptote, weak_snr
+from rcprobe.dicke import DickeParams, critical_temperature, solve_eta
+from rcprobe.grwa import _lambda_eq, solve_lambda
 
 
 def brute_force_gibbs(N, epsilon, beta):
@@ -92,3 +94,45 @@ def test_invalid_inputs():
         weak_snr(1, 1.0, 0.0)
     with pytest.raises(ValueError):
         weak_lowT_asymptote(1.0, -1.0, 1)
+
+
+def _is_a_root(f, r, lo, hi):
+    """r is an end of [lo, hi], or f changes sign between r and a neighbouring float."""
+    return r in (lo, hi) or any(f(r) * f(math.nextafter(r, end)) <= 0 for end in (lo, hi))
+
+
+def test_root_is_exact_to_adjacent_floats():
+    r2 = math.sqrt(2.0)
+    assert _root(lambda x: x * x - 2.0, 0.0, 2.0) in (math.nextafter(r2, 0), r2,
+                                                      math.nextafter(r2, 2))
+    assert _root(lambda x: 1.0 - x, 0.0, 1.0) == 1.0  # f(hi) = 0: the end itself
+
+
+def test_eta_is_a_root_to_adjacent_floats():
+    # seeded superradiant points, from just below Tc (eta -> 1) to where tanh rounds
+    # to 1 (eta -> 1/mu)
+    rng = np.random.default_rng(28)
+    inside = 0
+    for _ in range(100):
+        p = DickeParams(epsilon=rng.uniform(0.1, 3.0), omega=1.0, gbar=rng.uniform(0.5, 4.0))
+        tc = critical_temperature(p)
+        if tc is None:
+            continue
+        for beta in ((1 + 1e-12) / tc, (1 + 1e-6) / tc, rng.uniform(1.0, 20.0) / tc, 1e3 / tc):
+            eta, hi = solve_eta(p, beta), 1.0 / p.mu
+            assert 1.0 <= eta <= hi
+            assert _is_a_root(lambda e: e * p.mu - math.tanh(0.5 * beta * p.epsilon * e),
+                              eta, 1.0, hi)
+            inside += eta not in (1.0, hi)
+    assert inside > 100
+
+
+def test_lambda_is_a_root_to_adjacent_floats():
+    # seeded couplings over nine decades, and g = 1e-300, where lambda = 5e-301 lies far
+    # below the top of its bracket [0, ~1]
+    rng = np.random.default_rng(28)
+    for g in [*10 ** rng.uniform(-8.0, 1.0, 200), 1e-300]:
+        eps, om = rng.uniform(0.0, 5.0), rng.uniform(0.2, 5.0)
+        lam, hi = solve_lambda(eps, om, g).lam, (g / om) * (1.0 + eps / om) + 1.0
+        assert 0.0 < lam < hi
+        assert _is_a_root(lambda x: _lambda_eq(x, eps, om, g), lam, 0.0, hi)

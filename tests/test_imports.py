@@ -5,8 +5,10 @@ calls it, so SciPy's lazy submodule loading brings a submodule in at its
 first call.  scipy.linalg is called only by thermal's window route (a parity
 block of d >= D_WINDOW at a finite beta) and by reduced_probe_state, so the
 exact figures and a dense snr never load it, nor does one whose small blocks
-are skipped (their bounds come from NumPy band sums).  Each check runs in a
-fresh interpreter: the test modules import scipy.linalg, scipy.special and
+are skipped (their bounds come from NumPy band sums).  The closed forms load
+none of SciPy: dicke and grwa find their roots by bisection and rcmap
+integrates with its own Gauss-Kronrod rule.  Each check runs in a fresh
+interpreter: the test modules import scipy.linalg, scipy.special and
 scipy.integrate themselves.
 """
 
@@ -50,7 +52,7 @@ def _steps(body, *args):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_exact_paths_load_no_lazy_scipy_module_and_analytic_ones_do(tmp_path):
+def test_only_the_window_route_loads_a_lazy_scipy_module(tmp_path):
     steps = _steps("""
 assert run("reproduce", "fig2a", "--out", sys.argv[1]) == 0
 steps["reproduce"] = loaded()
@@ -61,18 +63,22 @@ with contextlib.redirect_stdout(out):
     assert cli.main(["snr", "--N", "6", "--g", "0.3", "--beta-omega", "40", "--n-max", "16"]) == 0
 steps["skipped"] = json.loads(out.getvalue())["solver"]["skipped"]
 steps["skip snr"] = loaded()
-assert run("snr", "--N", "10", "--g", "0.2", "--beta-omega", "20", "--n-max", "128") == 0
-steps["window snr"] = loaded()
 assert run("dicke", "--epsilon", "0.5", "--gbar", "0.9", "--beta-omega", "5") == 0
 steps["dicke"] = loaded()
-assert run("map-spectral", "--cutoff-ratios", "100", "--grid-points", "2") == 0
+assert run("reproduce", "fig3a", "--out", sys.argv[1]) == 0
+assert run("reproduce", "figS1", "--out", sys.argv[1]) == 0
+steps["closed-form figures"] = loaded()
+assert run("map-spectral") == 0
 steps["map-spectral"] = loaded()
-""", str(tmp_path / "fig2a.csv"))
+assert run("snr", "--N", "10", "--g", "0.2", "--beta-omega", "20", "--n-max", "128") == 0
+steps["window snr"] = loaded()
+""", str(tmp_path / "fig.csv"))
     assert steps["import"] == steps["reproduce"] == steps["snr"] == steps["skip snr"] == []
     assert steps["skipped"] == 5  # of its 8 blocks, all below D_WINDOW
+    # the superradiant eta and GRWA's lambda are bisection roots, and the bath-mapping
+    # check at its default grid is NumPy quadrature
+    assert steps["dicke"] == steps["closed-form figures"] == steps["map-spectral"] == []
     assert steps["window snr"] == ["scipy.linalg"]  # its d >= D_WINDOW blocks are banded
-    assert "scipy.optimize" in steps["dicke"]  # the superradiant eta is a brentq root
-    assert "scipy.integrate" in steps["map-spectral"]
 
 
 # rabi_exact at N = 10, n_max = 128, beta*omega = 20: every point has window-route blocks
@@ -87,11 +93,10 @@ n_max = 128
 """
 
 
-# the first call into each module may come from either worker of run_sweep(jobs=2)
+# the first call into scipy.linalg may come from either worker of run_sweep(jobs=2)
 @pytest.mark.parametrize("config, module", [
-    ('cli.figure_config_text("figS1")', "scipy.optimize"),  # grwa: lambda is a brentq root
     (repr(WINDOW_SWEEP), "scipy.linalg"),
-], ids=("optimize", "linalg"))
+], ids=("linalg",))
 def test_first_scipy_import_on_a_worker_thread_gives_the_serial_rows(config, module):
     steps = _steps(f"""
 cfg = sweep.parse_config_text({config})

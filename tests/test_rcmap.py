@@ -1,4 +1,7 @@
+import json
 import math
+import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from rcprobe.rcmap import (
 )
 
 GRID = np.linspace(0.1, 3.0, 12)
+REFERENCE = (pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+             / "analytic_limits.json")
 
 
 def test_mapping_constants():
@@ -100,6 +105,33 @@ def test_equivalence_residual_small_and_monotone():
         residuals.append(verify_equivalence(res, 1.0, 0.5, GRID))
     assert residuals[1] < 1e-3
     assert residuals[0] > residuals[1] > residuals[2]
+
+
+def test_default_residuals_match_the_recorded_reference():
+    # map-spectral's defaults against the residuals recorded from QUADPACK (read only)
+    ref = json.loads(REFERENCE.read_text(encoding="utf-8"))["rcmap"]
+    got = [verify_equivalence(OhmicResidual(gamma=0.05, omega_c=r), 1.0, 0.5, GRID)
+           for r in (1e2, 1e3, 1e4)]
+    assert got == pytest.approx(ref, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("z", [1.0 + 1e-7j, 1.0 + 1.0j])
+def test_non_integrable_density_stops_at_the_interval_cap(z):
+    # a double pole at w = 0.3 near and off the axis: each round halves the intervals
+    # around it until one integral would pass 400, which is refused, not grown further
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="past 400 intervals"):
+        cauchy_transform(lambda w: 1.0 / (w - 0.3) ** 2, z, upper=5.0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_tolerance_below_rounding_is_raised_to_quadpacks_least():
+    # |K - G| rounds near 50 eps, so a finer tolerance could never be met: it is
+    # raised to that least tolerance, not refused at the interval cap
+    res = OhmicResidual(gamma=0.05, omega_c=1e2)
+    ref = verify_equivalence(res, 1.0, 0.5, GRID[:4], quadrature_tol=1e-14)
+    for tol in (1e-17, 1e-300):
+        assert verify_equivalence(res, 1.0, 0.5, GRID[:4], quadrature_tol=tol) == ref
 
 
 def test_equivalence_g_small():

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
+from rcprobe import rcmap
 from rcprobe.errors import ParameterError
 from rcprobe.rcmap import (
     LorentzianOriginal,
     OhmicResidual,
     cauchy_transform,
     cauchy_transform_subtracted,
+    map_residual_to_original,
     verify_equivalence,
 )
 
@@ -53,6 +55,25 @@ def test_ohmic_subtracted_transform_matches_exponential_integral(omega_c, z):
 
     ref = res.gamma / np.pi * s * (i_of(s) - i_of(-s))
     _assert_close(cauchy_transform_subtracted(res, z, upper=60.0 * omega_c), ref)
+
+
+def test_grid_call_equals_per_point_transforms():
+    # verify_equivalence integrates each side for the whole grid at once; each point's
+    # integrals are refined by their own errors, so they equal one-point calls: w <= 0
+    # is off the axis, w > 0 near it
+    grid = (-1.2, 0.0, 0.3, 1.0, 2.5)
+    res = OhmicResidual(gamma=0.05, omega_c=1e3)
+    lor = map_residual_to_original(res, 1.0, 0.5)
+    z = np.array(grid) + 1e-6j
+    rcmap._original_side.cache_clear()
+    verify_equivalence(res, 1.0, 0.5, grid)
+    sides = (rcmap._original_side(lor, grid, 1e-10),
+             rcmap._transform(res, z, rcmap._kernel_z2_over_w, 1e-10, 6e4))
+    points = ([cauchy_transform(lor, s, upper=50.0 * max(1.0, s.real)) for s in z],
+              [cauchy_transform_subtracted(res, s, upper=6e4) for s in z])
+    assert rcmap._original_side.cache_info().hits == 1  # the grid call's own left side
+    for side, point in zip(sides, points):
+        assert (np.abs(side - np.array(point)) <= 1e-14 * np.abs(point)).all()
 
 
 def test_empty_grid_rejected():

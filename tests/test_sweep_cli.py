@@ -720,6 +720,21 @@ def test_exact_figures_match_the_recorded_reference(fig):
                                                     else want["converged"])
 
 
+@pytest.mark.parametrize("fig", ["fig3a", "fig3b", "figS1", "figS2"])
+def test_closed_form_figures_match_the_recorded_reference(fig):
+    # the closed-form sweeps against the benchmark's recorded rows (read only): their
+    # roots are exact to adjacent floats, so every number moves by rounding alone
+    ref = json.loads((FIG_REFERENCE / "analytic_limits.json").read_text(encoding="utf-8"))[fig]
+    rows = run_sweep(parse_config_text(figure_config_text(fig)))
+    assert [r.keys() for r in rows] == [r.keys() for r in ref]
+    for row, want in zip(rows, ref):
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert row[key] == pytest.approx(value, rel=1e-11, abs=0), key
+            else:  # n_max, converged, phase, and eta outside the dicke model
+                assert row[key] == value, key
+
+
 def test_cli_snr_reports_the_window_solve(capsys):
     argv = ["snr", "--N", "10", "--g", "0.2", "--beta-omega", "20", "--n-max", "128"]
     assert main(argv) == 0

@@ -351,6 +351,16 @@ def test_reduced_state_non_gibbsian_at_strong_g():
     assert abs(pops[1] ** 2 - pops[0] * pops[2]) > 1e-4 * pops[1] ** 2
 
 
+@pytest.mark.parametrize("beta", [-1.0, 0.0, math.nan, math.inf, 1e-320])
+def test_reduced_state_refuses_beta_before_any_block(solve_calls, beta):
+    # it was a trace-1 "Gibbs" state at beta = -1, all nan at nan and a RuntimeWarning
+    # at inf; now the rule of the exact solve refuses each before a block is solved
+    p = ProbeParams(N=2, epsilon=1.0, omega=1.0, g=0.3)
+    with pytest.raises(NumericalDomainError, match="beta"):
+        reduced_probe_state(p, beta, n_max=8)
+    assert solve_calls == []
+
+
 def test_degenerate_variance_guard():
     p = ProbeParams(N=1, epsilon=1.0, omega=1.0, g=0.0)
     with pytest.raises(NumericalDomainError):
