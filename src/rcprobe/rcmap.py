@@ -219,13 +219,21 @@ def _kernel_z2_over_w(J, w, s):
     return J(w) * s * s / w
 
 
+def _finite(w, z):
+    """w, a transform at z; a QuadratureError where it is not finite (the density overflows)."""
+    if not np.isfinite(w):
+        raise QuadratureError(f"the transform at z = {z} is not finite: {w}")
+    return w
+
+
 def cauchy_transform(J, z, quadrature_tol=1e-10, upper=None):
     """W(z) = (2/pi) * int_0^inf J(w) w / (w^2 - z^2) dw for complex z (see _transform).
 
     J is assumed odd-extended (J(-w) = -J(w)) and must take arrays.  z = 0 is allowed:
-    the integrand J(w)/w is regular there for Ohmic-like densities.
+    the integrand J(w)/w is regular there for Ohmic-like densities.  A transform that
+    is not finite, as where J overflows, is a QuadratureError.
     """
-    return complex(_transform(J, z, _kernel_w, quadrature_tol, upper)[0])
+    return _finite(complex(_transform(J, z, _kernel_w, quadrature_tol, upper)[0]), z)
 
 
 def cauchy_transform_subtracted(J, z, quadrature_tol=1e-10, upper=None):
@@ -233,8 +241,9 @@ def cauchy_transform_subtracted(J, z, quadrature_tol=1e-10, upper=None):
 
     One integral sign avoids the catastrophic cancellation of two cutoff-sized
     real parts, and its integrand decays one power faster, so the tail matters less.
+    A transform that is not finite is a QuadratureError, as for cauchy_transform.
     """
-    return complex(_transform(J, z, _kernel_z2_over_w, quadrature_tol, upper)[0])
+    return _finite(complex(_transform(J, z, _kernel_z2_over_w, quadrature_tol, upper)[0]), z)
 
 
 @lru_cache(maxsize=1)

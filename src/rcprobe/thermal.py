@@ -18,8 +18,9 @@ block is
   windowed  when d >= D_WINDOW = 256 and its lowest |W| <= d/20 states leave
             out a Gibbs weight mult*(d - |W|)*e^{-beta (E_cut - e0)} < CUT, the
             cut in a gap of at least NEAR*omega: W is read from a leading block
-            of the band in Fock-slow order (bandwidth <= J + 1), certified by an
-            inertia count of the whole band, and only W is solved (_window);
+            of the band in Fock-slow order (bandwidth b <= J + 1) of 8(b + 1),
+            else 4(d/20) + 4, else all d columns, certified by an inertia count
+            of the whole band, and only W is solved (_window);
             a band with no off-diagonal (g = 0) keeps its whole sorted diagonal;
   dense     otherwise, a failed certificate included.
 Relative to e^{-beta e0}, floor bounds Var_proj Z and Var_Kubo Z from below:
@@ -305,21 +306,24 @@ def _window(ab, jz, top, mult, beta, e0, lb, omega):
     mult*(d - |W|)*e^{-beta (E_cut - e0)} < CUT, with E_cut at least NEAR*omega
     above W's top; None where no such W exists.  e0 may exceed the ground
     energy, which only widens W; lb bounds the block's spectrum from below.
-    W is read from the eigenvalues mu of the leading block of 4*(d/20) + 4
-    columns, upper bounds on the block's own (Cauchy interlacing), and
-    certified by _count_below: the whole band has |W| eigenvalues below
-    sigma, the least energy the cut allows.  Where that or _states fails,
-    mu is too loose (strong coupling spreads the low states over many Fock
-    levels), and mu is taken from the whole band once instead.
+    W is read from the eigenvalues mu of a leading block of k columns, upper
+    bounds on the block's own (Cauchy interlacing), and certified by
+    _count_below: the whole band has |W| eigenvalues below sigma, the least
+    energy the cut allows.  k is first 8*(b + 1), eight or more Fock levels of
+    a band of b + 1 diagonals, where a few low states live at weak coupling.
+    Where that or _states fails, mu is too loose (strong coupling spreads the
+    low states over many Fock levels), and k grows to 4*(d/20) + 4, then to
+    the whole band.  The first k is capped at the second, so where 8*(b + 1)
+    exceeds it (a wide band, as at n_max = 1) there are two steps.
     """
     d, most = ab.shape[1], ab.shape[1] // 20
-    for k in (4 * most + 4, d):
+    # the least energy of state j = 1 .. most for a cut below it to drop less than CUT
+    floor0 = np.log(mult * (d - np.arange(1, most + 1)) / CUT) / beta
+    for k in sorted({min(8 * len(ab), 4 * most + 4), 4 * most + 4, d}):
         mu = scipy.linalg.eigvals_banded(ab[:, :k], lower=True, check_finite=False)[: most + 1]
-        # the least energy of state j = 1 .. most for a cut below it to drop less than CUT
-        floor = np.log(mult * (d - np.arange(1, most + 1)) / CUT) / beta
-        if mu[most] <= min(e0, lb) + floor[-1]:
+        if len(mu) > most and mu[most] <= min(e0, lb) + floor0[-1]:
             return None  # even the bound on state `most` keeps weight, so |W| > most
-        floor += min(e0, mu[0])
+        floor = floor0[: len(mu) - 1] + min(e0, mu[0])
         cut = (mu[1:] > floor) & (mu[1:] >= mu[:-1] + NEAR * omega)
         w = np.argmax(cut) + 1
         sigma = max(floor[w - 1], mu[w - 1] + NEAR * omega)
@@ -365,8 +369,12 @@ def _sector_data(p: ProbeParams, n_max, sector="full", beta=None) -> Spectra:
             if d >= D_WINDOW or (p.epsilon * m + p.omega * n).min() > lb_skip:  # min H_ii >= lb
                 ab, bm, bn = operators._parity_band(p, J, n_max, k)
                 # Gershgorin: min_i H_ii - sum_{j != i} H_ij, as no H_ij < 0; ab[q, j] = H_{j+q, j}
-                lb = (ab[0] - sum(ab[q] + np.r_[np.zeros(q), ab[q, : d - q]]
-                                  for q in range(1, len(ab)))).min()
+                off = 0.0
+                for q in range(1, len(ab)):
+                    row = ab[q].copy()
+                    row[q:] += ab[q, : d - q]
+                    off = off + row
+                lb = (ab[0] - off).min()
                 if lb > lb_skip:
                     solver["skipped"] += 1
                     continue

@@ -174,6 +174,16 @@ def test_bad_parameters_rejected():
                 transform(res, 1.0 + 0.5j, quadrature_tol=tol)
 
 
+@pytest.mark.parametrize("z", [1.0 + 1e-7j, 1.0 + 0.5j])
+def test_transform_of_an_overflowing_density_is_refused(z):
+    # Gamma * varsigma = 4e350 overflows in NumPy arithmetic: without the check the
+    # transforms returned nan + inf i near the axis and nan + nan i off it
+    lor = map_residual_to_original(OhmicResidual(gamma=1e150, omega_c=1e2), 1.0, 1e100)
+    for transform in (cauchy_transform, cauchy_transform_subtracted):
+        with pytest.raises(QuadratureError, match="is not finite"):
+            transform(lor, z)
+
+
 def _cold(*args, **kw):
     _original_side.cache_clear()
     return verify_equivalence(*args, **kw)

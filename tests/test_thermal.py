@@ -695,9 +695,9 @@ def _window_bands(monkeypatch, p, n_max, beta):
 def test_inertia_count_matches_dense(monkeypatch, N, eps, g, beta, n_max):
     # shifts on both sides of each kept eigenvalue and of the first one left out,
     # half way to the nearer neighbour, so inside every near pair among them; split
-    # after d/20 rows (where the Schur correction decides the count), after the
-    # leading block, and 32 rows from the end, the count is exact where the trailing
-    # rows are positive definite at the shift, and None where they are not
+    # after d/20 rows (where the Schur correction decides the count), after each of
+    # the two leading blocks, and 32 rows from the end, the count is exact where the
+    # trailing rows are positive definite at the shift, and None where they are not
     near = 0
     for ab, w in _window_bands(monkeypatch, ProbeParams(N, eps, 1.0, g), n_max, beta):
         b, d = len(ab) - 1, ab.shape[1]
@@ -708,7 +708,7 @@ def test_inertia_count_matches_dense(monkeypatch, N, eps, g, beta, n_max):
         gaps = np.diff(lam[: w + 2])
         half = np.minimum(np.r_[np.inf, gaps[:-1]], gaps) / 2
         near += np.sum(gaps[:w] < thermal.NEAR)
-        for k in (d // 20, 4 * (d // 20) + 4, d - 32):
+        for k in (d // 20, 8 * (b + 1), 4 * (d // 20) + 4, d - 32):
             tail = np.linalg.eigvalsh(H[k:, k:])[0]
             for sigma in np.r_[lam[: w + 1] - half, lam[: w + 1] + half]:
                 got = thermal._count_below(ab, k, sigma)
@@ -734,14 +734,44 @@ def test_inertia_count_with_a_band_wider_than_the_leading_block():
     assert counted >= 3
 
 
+def test_window_sizes_collapse_on_a_band_wider_than_its_leading_blocks(monkeypatch):
+    # at n_max = 1, 8*(b + 1) = 336 columns exceed both 4*(d/20) + 4 = 20 and d = 81:
+    # the sizes tried are 20 and d alone, and the states kept are the band's lowest
+    ab, bm, bn = operators._parity_band(ProbeParams(80, 1.0, 1.0, 0.2), 40.0, 1, 0)
+    b, d = len(ab) - 1, ab.shape[1]
+    assert 8 * (b + 1) > d > 4 * (d // 20) + 4
+    sizes = []
+
+    def banded(a, *args, **kw):
+        sizes.append(a.shape[1])
+        return eigvals_banded(a, *args, **kw)
+
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", banded)
+    rec = thermal._window(ab, bm, bn == 1, 1.0, 20.0, np.inf, -100.0, 1.0)
+    assert sizes[0] == 4 * (d // 20) + 4 and set(sizes) <= {4 * (d // 20) + 4, d}
+    lam = eigvals_banded(ab, lower=True)
+    assert rec is not None and np.allclose(rec[0], lam[: len(rec[0])], rtol=0, atol=1e-12)
+
+
+def test_window_with_a_first_block_below_most_states():
+    # N = 2, n_max = 400: the J = 1 blocks (d = 601, b = 2) have a first leading block
+    # of 24 columns, fewer eigenvalues than the d/20 + 1 = 31 the early exit reads
+    p = ProbeParams(N=2, epsilon=1.0, omega=1.0, g=0.3)
+    window, dense = _sector_data(p, 400, beta=20.0), _sector_data(p, 400)
+    assert tuple(window.solver.values()) == (2, 2, 0, 406)
+    assert _point(p, window, 20.0, "auto").snr == pytest.approx(
+        _point(p, dense, 20.0, "auto").snr, rel=1e-10)
+
+
 def test_large_point_solves_no_whole_band(monkeypatch):
-    # every banded eigenvalue solve of a window block takes at most its leading block;
-    # thermal calls scipy.linalg.eigvals_banded by its module path, _count_below's call too
+    # every window block is certified at its first leading block of 8*(b + 1) columns:
+    # one banded eigenvalue solve of that block and one of _count_below's Schur complement
+    # (thermal calls scipy.linalg.eigvals_banded by its module path, _count_below's call too)
     cols = []
     window = thermal._window
 
     def windowed(ab, *args):
-        cols.append((ab.shape[1], []))
+        cols.append((8 * len(ab), []))
         return window(ab, *args)
 
     def banded(ab, *args, **kw):
@@ -752,7 +782,7 @@ def test_large_point_solves_no_whole_band(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigvals_banded", banded)
     p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.2)
     assert snr_exact(p, 20.0, n_max=128).solver["window"] == len(cols) == 7
-    assert all(seen and max(seen) <= 4 * (d // 20) + 4 for d, seen in cols)
+    assert all(len(seen) == 2 and max(seen) <= k0 for k0, seen in cols), cols
 
 
 def test_large_point_never_builds_a_skipped_sector(monkeypatch):
@@ -769,6 +799,19 @@ def test_large_point_never_builds_a_skipped_sector(monkeypatch):
     p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.2)
     assert snr_exact(p, 20.0, n_max=128).solver["skipped"] == 5
     assert built == []
+
+
+def test_strong_coupling_window_grows_to_the_whole_band():
+    # at N = 16, g = 0.5 the low states spread over many Fock levels: three of the four
+    # window blocks grow to the whole band.  The even J = 7 block counts right at 100
+    # columns, but its lowest bound lies nearer the second state, so its polish fails
+    # there.  Every window block is still kept, and S is the recorded window value, 3e-15
+    # from the all-dense solve's 40.58197456979029 (which takes seconds).
+    start = time.perf_counter()
+    got = snr_exact(ProbeParams(N=16, epsilon=1.0, omega=1.0, g=0.5), 20.0, n_max=64)
+    assert time.perf_counter() - start < 1.0
+    assert tuple(got.solver.values()) == (0, 4, 14, 8)
+    assert got.snr == pytest.approx(40.5819745697904, rel=1e-12)
 
 
 @pytest.mark.parametrize("N, g, window, dense", [(16, 0.5, 4, 0), (10, 0.002, 4, 3)])
