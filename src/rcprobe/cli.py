@@ -9,9 +9,10 @@ Subcommands
   reproduce     run a shipped figure config by id (e.g. fig2a)
 
 Exit codes: 0 success, 2 config error (including a parameter out of its
-range and a malformed fit input), 3 convergence failure, 4 numerical
-domain error (including a composite dimension over the cap, a fit window
-with too few points and a failed eigensolve).  Any other exception is a
+range, a malformed fit input and a file that cannot be read or written),
+3 convergence failure, 4 numerical domain error (including a composite
+dimension over the cap, a fit window with too few points and a failed
+eigensolve).  Any other exception is a
 program fault and propagates with its traceback.
 """
 
@@ -138,12 +139,22 @@ def _cmd_map_spectral(args):
     return 0
 
 
+def _file(path, text=None):
+    """The UTF-8 text of the file at path, or write text there; a ConfigError naming
+    path where the file cannot be read or written (missing, a directory, not UTF-8)."""
+    try:
+        with open(path, "r" if text is None else "w", encoding="utf-8") as fh:
+            return fh.read() if text is None else fh.write(text)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def _cmd_fit(args):
-    with open(args.input, encoding="utf-8") as fh:
-        try:
-            rows = sweepmod.parse_csv(fh.read())
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{args.input} is not a sweep CSV: {exc!r}") from exc
+    text = _file(args.input)
+    try:
+        rows = sweepmod.parse_csv(text)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{args.input} is not a sweep CSV: {exc!r}") from exc
     fit = sweepmod.fit_scaling(rows, tuple(args.window))
     print(json.dumps({
         "theta": fit.theta, "stderr": fit.stderr,
@@ -168,15 +179,17 @@ def figure_config_text(figure_id):
 def _cmd_sweep(args):
     """sweep and reproduce: run the config text of --config or of a shipped figure id."""
     if args.command == "sweep":
-        with open(args.config, encoding="utf-8") as fh:
-            text = fh.read()
+        text = _file(args.config)
     else:
         text = figure_config_text(args.figure_id)
     rows = sweepmod.run_sweep(sweepmod.parse_config_text(text), jobs=args.jobs)
-    text = sweepmod.emit_csv(rows) if args.format == "csv" else json.dumps(rows, indent=2)
+    if args.format == "csv":
+        text = sweepmod.emit_csv(rows)
+    else:  # a refused row's NaN as null, which strict JSON parsers read
+        text = json.dumps([{k: None if isinstance(v, float) and not np.isfinite(v) else v
+                            for k, v in r.items()} for r in rows], indent=2, allow_nan=False)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _file(args.out, text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     return 0
@@ -196,7 +209,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (ConfigError, ParameterError, FileNotFoundError) as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ConvergenceError as exc:

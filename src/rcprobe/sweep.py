@@ -5,22 +5,23 @@ Config files are flat `key = value` text with `#` comments and a mandatory
 raise ConfigError with the offending field.  Exactly one grid axis is swept
 per config; all energies are interpreted in units of omega = 1.
 
-Recognized keys:
+Recognized keys, and in brackets the models that read each; a config that sets or
+sweeps a key its model does not read is refused on that key or on grid_axis:
 
   schema_version   must be 1
   model            rabi_exact | grwa | dicke | weak
-  N                spin count, a positive integer (rabi_exact/grwa/weak)
-  epsilon, g       probe splitting and coupling, units of omega (g: not dicke)
-  gbar             intensive Dicke coupling, units of omega (dicke, which
-                   rejects g and the g_over_omega axis)
   grid_axis        beta_omega | g_over_omega | epsilon_over_omega | gbar_over_omega | N
   grid_values      comma list, or grid_start/grid_stop/grid_points (+ grid_scale),
                    grid_points at most MAX_GRID_POINTS
+  N, epsilon       spin count, a positive integer, and probe splitting (all)
+  g                coupling (rabi_exact, grwa)
+  gbar             intensive Dicke coupling (dicke, which requires it unless swept)
   beta_omega       fixed inverse temperature when another axis is swept;
-                   it and every beta_omega grid value must be finite, > 0
-  sector           full | maximal
-  noise            auto | projective | susceptibility
-  n_max            Fock cutoff (rabi_exact/grwa); "auto" converges per point.
+                   it and every beta_omega grid value must be finite, > 0 (all)
+  sector           full | maximal (rabi_exact)
+  noise            auto | projective | susceptibility (rabi_exact; weak, whose
+                   g = 0 makes every channel the weak one)
+  n_max            Fock cutoff (rabi_exact); "auto" converges per point.
                    converged: the fitted truncation estimate TOP_C * p_top
                    at the row's n_max is below 1e-6 (p_top the Gibbs
                    population of the top Fock level); an auto row takes the
@@ -75,17 +76,19 @@ MAX_GRID_POINTS = 100_000
 # grid axis -> the SweepConfig number it sets; those numbers are also config keys
 _AXES = {"beta_omega": "beta_omega", "g_over_omega": "g", "epsilon_over_omega": "epsilon",
          "gbar_over_omega": "gbar", "N": "N"}
+# the keys each model's rows read, beyond schema_version, model and the grid keys
+_READS = {
+    "rabi_exact": {"N", "epsilon", "g", "beta_omega", "sector", "noise", "n_max"},
+    "grwa": {"N", "epsilon", "g", "beta_omega"},
+    "dicke": {"N", "epsilon", "gbar", "beta_omega"},
+    "weak": {"N", "epsilon", "beta_omega", "noise"},  # at g = 0 every channel is the weak one
+}
 # keys with a fixed set of values; sector and noise default to their first
-_CHOICES = {
-    "model": ("rabi_exact", "grwa", "dicke", "weak"),
-    "grid_axis": tuple(_AXES),
-    "sector": SECTORS,
-    "noise": NOISE_CHANNELS,
-}
-_KNOWN_KEYS = {
-    "schema_version", "grid_values", "grid_start", "grid_stop", "grid_points", "grid_scale",
-    "n_max", *_CHOICES, *_AXES.values(),
-}
+_CHOICES = {"model": tuple(_READS), "grid_axis": tuple(_AXES), "sector": SECTORS,
+            "noise": NOISE_CHANNELS}
+_READ_BY_SOME = set().union(*_READS.values())
+_KNOWN_KEYS = {"schema_version", "model", "grid_axis", "grid_values", "grid_start", "grid_stop",
+               "grid_points", "grid_scale", *_READ_BY_SOME}
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,11 @@ def parse_config_text(text) -> SweepConfig:
         choice[key] = kv.get(key, allowed[0]) if key in ("sector", "noise") else req(key)
         if choice[key] not in allowed:
             raise ConfigError(f"must be one of {allowed}, got {choice[key]!r}", field=key)
-    axis = choice["grid_axis"]
+    axis, model = choice["grid_axis"], choice["model"]
+    for key in (*kv, _AXES[axis]):  # every key set, then the swept one
+        if key in _READ_BY_SOME - _READS[model]:
+            raise ConfigError(f"the {model} model does not read {key}",
+                              field=key if key in kv else "grid_axis")
 
     if "grid_values" in kv:
         try:
@@ -180,15 +187,8 @@ def parse_config_text(text) -> SweepConfig:
         for v in grid:
             _positive_int(v, "grid_values")
 
-    if choice["model"] == "dicke":
-        # the Dicke limit reads only the intensive gbar; a g would be silently ignored
-        if "g" in kv:
-            raise ConfigError("the dicke model takes the intensive gbar, not g", field="g")
-        if axis == "g_over_omega":
-            raise ConfigError("the dicke model sweeps gbar_over_omega, not g_over_omega",
-                              field="grid_axis")
-        if "gbar" not in kv and axis != "gbar_over_omega":
-            raise ConfigError("required for the dicke model", field="gbar")
+    if model == "dicke" and "gbar" not in kv and axis != "gbar_over_omega":
+        raise ConfigError("required for the dicke model", field="gbar")
 
     n_max = kv.get("n_max", "64")
     if n_max != "auto":

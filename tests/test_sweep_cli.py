@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rcprobe import dicke, thermal
-from rcprobe.cli import EXIT_CONFIG, EXIT_DOMAIN, figure_config_text, main
+from rcprobe.cli import EXIT_CONFIG, EXIT_DOMAIN, figure_config_text, figure_ids, main
 from rcprobe.dicke import DickeParams, critical_temperature
 from rcprobe.errors import ConfigError, NumericalDomainError
 from rcprobe.operators import ProbeParams
@@ -23,6 +23,20 @@ from rcprobe.sweep import (
 )
 from rcprobe.thermal import converge_nmax, cutoff_converged, snr_exact
 from rcprobe.units import convert_units
+
+# the keys each model's rows read, beyond schema_version, model and the grid keys, with
+# a value for each and the axis that sweeps it
+READS = {
+    "rabi_exact": ("N", "epsilon", "g", "beta_omega", "sector", "noise", "n_max"),
+    "grwa": ("N", "epsilon", "g", "beta_omega"),
+    "dicke": ("N", "epsilon", "gbar", "beta_omega"),
+    "weak": ("N", "epsilon", "beta_omega", "noise"),
+}
+VALUES = {"N": "2", "epsilon": "0.8", "g": "0.3", "gbar": "0.9", "beta_omega": "7",
+          "sector": "maximal", "noise": "projective", "n_max": "16"}
+AXES = {"N": "N", "epsilon": "epsilon_over_omega", "g": "g_over_omega",
+        "gbar": "gbar_over_omega", "beta_omega": "beta_omega"}
+UNREAD = [(model, key) for model, keys in READS.items() for key in VALUES if key not in keys]
 
 MINIMAL = """
 schema_version = 1
@@ -74,7 +88,7 @@ def test_parse_comments_and_range():
          "grid_values = 1, 0", "grid_values"),
         ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\n"
          "grid_start = -1\ngrid_stop = 1\ngrid_points = 3", "grid_values"),
-        ("schema_version = 1\nmodel = weak\ngrid_axis = g_over_omega\n"
+        ("schema_version = 1\nmodel = grwa\ngrid_axis = g_over_omega\n"
          "grid_values = 1\nbeta_omega = nan", "beta_omega"),
         ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\ngrid_start = 0\n"
          "grid_stop = 5\ngrid_points = 4\ngrid_scale = log", "grid_values"),
@@ -103,6 +117,11 @@ def test_parse_comments_and_range():
          "grid_stop = 5\ngrid_points = 3\ngrid_scale = cubic", "grid_scale"),
         ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\n"
          "grid_values = 1\nn_max = 0", "n_max"),
+        # a key the model does not read, whatever its value, and the axis of one
+        *((f"schema_version = 1\nmodel = {model}\n{key} = {VALUES[key]}\n"
+           "grid_axis = beta_omega\ngrid_values = 1", key) for model, key in UNREAD),
+        *((f"schema_version = 1\nmodel = {model}\ngrid_axis = {AXES[key]}\n"
+           "grid_values = 1", "grid_axis") for model, key in UNREAD if key in AXES),
     ],
 )
 def test_parse_errors_carry_field(tmp_path, capsys, text, field):
@@ -115,6 +134,20 @@ def test_parse_errors_carry_field(tmp_path, capsys, text, field):
     assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"config error: {exc.value}\n"
+
+
+def test_every_key_a_model_reads_parses():
+    # 13 of the 32 (model, key) pairs and 5 of the 20 (model, axis) pairs are refused
+    assert len(UNREAD) == 13 and sum(key in AXES for _, key in UNREAD) == 5
+    for model, keys in READS.items():
+        for key in keys:
+            gbar = "gbar = 0.9\n" if model == "dicke" and key != "gbar" else ""
+            head = f"schema_version = 1\nmodel = {model}\n{gbar}{key} = {VALUES[key]}\n"
+            # a fixed key that is also the swept axis is accepted too
+            for axis in {"beta_omega", AXES.get(key, "beta_omega")}:
+                cfg = parse_config_text(head + f"grid_axis = {axis}\ngrid_values = 1, 2\n")
+                assert cfg.grid_axis == axis
+                assert str(getattr(cfg, key)) in (VALUES[key], VALUES[key] + ".0")
 
 
 def test_parse_caps_grid_points_before_allocating():
@@ -480,6 +513,32 @@ def test_cli_sweep_json_rabi_exact(tmp_path, capsys):
     assert all(isinstance(r["converged"], bool) for r in rows)
 
 
+def test_cli_sweep_json_writes_null_for_a_refused_row(tmp_path, capsys):
+    # strict JSON has no NaN: the row refused at beta*omega = 1e-320 reads null
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_BETA_SWEEP)
+    assert main(["sweep", "--config", str(cfg), "--format", "json"]) == 0
+    tiny, cold = _strict_json(capsys.readouterr().out)
+    assert tiny["snr"] is tiny["snr_weak"] is tiny["delta_snr"] is None
+    assert tiny["n_max"] == 128 and math.isfinite(cold["snr"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "{dir}"],
+    ["fit", "--input", "{dir}", "--window", "1", "5"],
+    ["reproduce", "figS1", "--out", "{dir}"],
+    ["sweep", "--config", "{latin1}"],
+], ids=("config-dir", "input-dir", "out-dir", "config-latin1"))
+def test_cli_file_errors_are_config_errors(tmp_path, capsys, argv):
+    # a file that cannot be read or written is named in a config error, not a traceback
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("schema_version = 1\n# \xb0C\n".encode("latin-1"))
+    path = next(a for a in argv if a.startswith("{")).format(dir=tmp_path, latin1=latin1)
+    assert main([a.format(dir=tmp_path, latin1=latin1) for a in argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+
+
 def test_auto_rows_keep_the_convergence_loop_verdict():
     cfg = parse_config_text(
         "schema_version = 1\nmodel = rabi_exact\nN = 1\nepsilon = 1.5\n"
@@ -665,11 +724,21 @@ def test_cli_dicke_json(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.filterwarnings("error")
 def test_figure_configs_all_parse():
-    for fid in ("fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig2f",
-                "fig3a", "fig3b", "figS0", "figS1", "figS2"):
-        cfg = parse_config_text(figure_config_text(fid))
+    # and set only keys their model reads: an unknown key only warns, so a typo in a
+    # shipped config would otherwise pass
+    grid = {"schema_version", "model", "grid_axis", "grid_values", "grid_start", "grid_stop",
+            "grid_points", "grid_scale"}
+    assert figure_ids() == ["fig2a", "fig2b", "fig2c", "fig2d", "fig2e", "fig2f",
+                            "fig3a", "fig3b", "figS0", "figS1", "figS2"]
+    for fid in figure_ids():
+        text = figure_config_text(fid)
+        cfg = parse_config_text(text)
         assert len(cfg.grid) >= 2
+        lines = [ln.split("#", 1)[0] for ln in text.splitlines()]
+        keys = {ln.split("=", 1)[0].strip() for ln in lines if "=" in ln}
+        assert keys - grid <= set(READS[cfg.model]), fid
 
 
 def test_cli_reproduce_runs(tmp_path):

@@ -266,14 +266,29 @@ def test_converge_nmax_returns_the_snr_exact_point_at_its_cutoff(seed):
 
 
 def test_converge_nmax_at_strong_coupling_and_large_n():
-    # gbar = sqrt(N) g / 2 = 0.8 at beta*omega = 20: the loop stops at 32, and
-    # the snr there is within the fitted estimate of the one at n_max = 128
+    # gbar = sqrt(N) g / 2 = 0.8 at beta*omega = 20: the loop stops at 32, where
+    # test_top_c_holds_at_strong_coupling checks the snr against n_max = 128
     p = ProbeParams(N=16, epsilon=1.0, omega=1.0, g=0.4)
     pt = converge_nmax(p, 20.0)
     assert pt.n_max == 32
     assert pt.solver["window"] > 0 and pt == snr_exact(p, 20.0, n_max=32)
-    err = abs(pt.snr - snr_exact(p, 20.0, n_max=128).snr) / pt.snr
-    assert err < thermal.TOP_C * thermal_observables(p, 20.0, 32).p_top < 1e-6
+    assert pt.converged
+
+
+@pytest.mark.parametrize("N, eps, g, beta, sector, n_max, ref", [
+    (16, 1.0, 0.3, 20.0, "full", 24, 128),  # measured margin 1.38x
+    (4, 1.0, 0.6, 20.0, "full", 16, 192),  # 2.96x
+    (16, 1.0, 0.4, 20.0, "full", 32, 128),  # 3.11x
+    (16, 1.0, 0.5, 20.0, "full", 32, 128),  # 16x
+    (8, 0.5, 0.636, 5.0, "maximal", 16, 128),  # 34x
+])
+def test_top_c_holds_at_strong_coupling(N, eps, g, beta, sector, n_max, ref):
+    # TOP_C * p_top is fitted, not a bound: at the strong-coupling points closest to
+    # breaking it, it must still exceed the relative error of S against a far larger cutoff
+    p = ProbeParams(N=N, epsilon=eps, omega=1.0, g=g)
+    pt = snr_exact(p, beta, n_max=n_max, sector=sector)
+    want = snr_exact(p, beta, n_max=ref, sector=sector).snr
+    assert abs(pt.snr - want) / want <= thermal.TOP_C * pt.p_top
 
 
 def test_converge_nmax_cap(monkeypatch):
