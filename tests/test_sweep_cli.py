@@ -78,9 +78,9 @@ def test_parse_comments_and_range():
         ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega", "grid_values"),
         ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\n"
          "grid_values = 1, banana", "grid_values"),
-        ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\n"
+        ("schema_version = 1\nmodel = rabi_exact\ngrid_axis = beta_omega\n"
          "grid_values = 1\nn_max = 2.5", "n_max"),
-        ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\n"
+        ("schema_version = 1\nmodel = rabi_exact\ngrid_axis = beta_omega\n"
          "grid_values = 1\nsector = left", "sector"),
         ("schema_version = 1\nmodel = dicke\ngrid_axis = beta_omega\n"
          "grid_values = 1", "gbar"),
@@ -115,7 +115,7 @@ def test_parse_comments_and_range():
          "grid_values = 1", "epsilon"),
         ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\ngrid_start = 1\n"
          "grid_stop = 5\ngrid_points = 3\ngrid_scale = cubic", "grid_scale"),
-        ("schema_version = 1\nmodel = weak\ngrid_axis = beta_omega\n"
+        ("schema_version = 1\nmodel = rabi_exact\ngrid_axis = beta_omega\n"
          "grid_values = 1\nn_max = 0", "n_max"),
         # a key the model does not read, whatever its value, and the axis of one
         *((f"schema_version = 1\nmodel = {model}\n{key} = {VALUES[key]}\n"
@@ -134,6 +134,19 @@ def test_parse_errors_carry_field(tmp_path, capsys, text, field):
     assert main(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"config error: {exc.value}\n"
+
+
+@pytest.mark.parametrize(
+    "key,value,msg",
+    [("n_max", "2.5", "must be an integer or 'auto'"), ("n_max", "0", "must be >= 1"),
+     ("sector", "left", "must be one of")],
+)
+def test_parse_value_checks_of_read_keys(key, value, msg):
+    # a key rabi_exact reads reaches its own value check, not the table's refusal
+    with pytest.raises(ConfigError, match=msg) as exc:
+        parse_config_text(f"schema_version = 1\nmodel = rabi_exact\n{key} = {value}\n"
+                          "grid_axis = beta_omega\ngrid_values = 1")
+    assert exc.value.field == key
 
 
 def test_every_key_a_model_reads_parses():
