@@ -178,11 +178,11 @@ def figure_config_text(figure_id):
 
 def _cmd_sweep(args):
     """sweep and reproduce: run the config text of --config or of a shipped figure id."""
-    if args.command == "sweep":
-        text = _file(args.config)
-    else:
-        text = figure_config_text(args.figure_id)
-    rows = sweepmod.run_sweep(sweepmod.parse_config_text(text), jobs=args.jobs)
+    text = _file(args.config) if args.command == "sweep" else figure_config_text(args.figure_id)
+    cfg = sweepmod.parse_config_text(text)
+    if args.out:  # created or emptied before any row is solved, so a bad --out fails first
+        _file(args.out, "")
+    rows = sweepmod.run_sweep(cfg, jobs=args.jobs)
     if args.format == "csv":
         text = sweepmod.emit_csv(rows)
     else:  # a refused row's NaN as null, which strict JSON parsers read

@@ -1,10 +1,10 @@
 """Collective-spin and truncated-boson operators, and the probe+mode Hamiltonian.
 
 All matrices are real, and dense but for the Fock-slow band of one parity
-block (_parity_band).  In the chosen basis the Hamiltonian H = eps*Jz +
-omega*n + g*Jx*(a^dag + a) is real symmetric, so complex arithmetic is
-never needed; Jy is only ever handed out through its real antisymmetric
-representation.
+block (_parity_band, which _dense writes out).  In the chosen basis the
+Hamiltonian H = eps*Jz + omega*n + g*Jx*(a^dag + a) is real symmetric, so
+complex arithmetic is never needed; Jy is only ever handed out through its
+real antisymmetric representation.
 
 Composite basis ordering: spin index slow, Fock index fast, i.e. the
 composite state |m, n> sits at row (m + J)*(n_max + 1) + n.
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericalDomainError, ParameterError
 
-# largest composite sector dimension a dense solve is allowed to build
+# the most states (2J + 1)(n_max + 1) of a sector J, both parity blocks, a band or build takes
 DIM_CAP = 20000
 
 
@@ -175,12 +175,23 @@ def _parity_band(p: ProbeParams, J, n_max, k):
     keep = (i + n) % 2 == k
     col = np.cumsum(keep) - 1  # each kept state's column in the block
     lo = np.flatnonzero((i < ds - 1) & (n < nb - 1))  # m < J and n < n_max
-    band = np.tile(p.g * (0.5 * c[i[lo]] * np.sqrt(n[lo] + 1)), 2)
+    band = np.concatenate([p.g * (0.5 * c[i[lo]] * np.sqrt(n[lo] + 1))] * 2)
     # <m+1, n+1|H|m, n> and <m, n+1|H|m+1, n>, each bra after its ket in this order
-    ket, bra = np.r_[lo, lo + 1], np.r_[lo + ds + 1, lo + ds]
+    ket, bra = np.concatenate((lo, lo + 1)), np.concatenate((lo + ds + 1, lo + ds))
     on = keep[ket] & (band != 0)
     q = col[bra[on]] - col[ket[on]]
     ab = np.zeros((q.max(initial=0) + 1, keep.sum()))
     ab[0] = (p.epsilon * m[i] + p.omega * n)[keep]
     ab[q, col[ket[on]]] = band[on]
     return ab, m[i[keep]], n[keep]
+
+
+def _dense(ab, m, n):
+    """(H, m, n): a band (ab, m, n) of _parity_band written out dense, its states reordered
+    by (m, n) as build_mapped_hamiltonian's rows are, so H is that sector's block bitwise."""
+    o = np.lexsort((n, m))  # the band column of each dense row
+    at, d = np.argsort(o), len(o)  # the dense row of each band column
+    H = np.zeros((d, d))
+    for q, diag in enumerate(ab):  # ab[q, j] = H_{j+q, j} in band order
+        H[at[q:], at[: d - q]] = H[at[: d - q], at[q:]] = diag[: d - q]
+    return H, m[o], n[o]

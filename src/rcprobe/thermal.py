@@ -32,9 +32,8 @@ term) by at most w r: both by at most w <(Jz - m1)^2> <= w N^2, so C_N = N^2.
 The skip's ratio to CUT falls with beta once beta (lb - e0) > 1, as
 beta e^{-beta x} / (1 - e^{-beta a}) does (x = lb - e0, a = NEAR*omega), so a
 record serves every beta' >= beta.  floor = 0, as at g = 0, skips nothing.
-Bands come from operators._parity_band, built where d >= D_WINDOW or where
-the block's least diagonal entry, an upper bound on lb, passes the skip
-test; only a dense block's sector is built.
+Each block is read from its band, operators._parity_band, built once per
+solve; a dense block is that band written out (operators._dense): no sector is built.
 
 Two noise channels are provided for the SNR denominator:
 
@@ -66,7 +65,6 @@ the N >= 2 SNR grows as 1/T with the susceptibility denominator.
 """
 
 from dataclasses import dataclass
-from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -75,7 +73,7 @@ import scipy
 from . import operators
 from .baseline import weak_snr
 from .errors import ConvergenceError, NumericalDomainError, ParameterError
-from .operators import ProbeParams, build_mapped_hamiltonian, sector_multiplicities
+from .operators import ProbeParams, sector_multiplicities
 
 # the spin sectors summed and the noise channels of the module docstring; each default first
 SECTORS = ("full", "maximal")
@@ -166,12 +164,11 @@ def _phi(x):
 
 
 def _blocks(p: ProbeParams, n_max, sector):
-    """(J, mult, k, rows, H) per parity block k: rows the block's rows in its sector, and
-    H() the sector Hamiltonian, built at its first call, so a sector none calls is never built.
+    """(J, mult, operators._parity_band(p, J, n_max, k)) per parity block k, built as reached.
 
     The total-spin sectors taken are all, or J = N/2 only for "maximal".  No
-    element of H or Jz couples rows of unequal (m+J)+n parity, so each
-    sector is solved as two blocks, even rows then odd.
+    element of H or Jz couples states of unequal (m+J)+n parity, so each
+    sector is solved as two blocks, k = 0 (even) then 1 (odd).
     """
     _check_choice(sector, SECTORS, "sector")
     operators._check_sector(p, p.N / 2, n_max)  # the largest sector, before any multiplicity
@@ -179,22 +176,17 @@ def _blocks(p: ProbeParams, n_max, sector):
         raise NumericalDomainError(f"N = {p.N}: a multiplicity does not fit a float")
     sectors = ([(J, float(mult)) for J, mult in sector_multiplicities(p.N).sectors]
                if sector == "full" else [(p.N / 2, 1.0)])
-    nb = n_max + 1
     for J, mult in sectors:
-        H = cache(lambda J=J: build_mapped_hamiltonian(p, J, n_max).entries)
-        i = np.arange(int(round(2 * J + 1)) * nb)
-        parity = (i // nb + i % nb) % 2
         for k in (0, 1):
-            yield J, mult, k, np.flatnonzero(parity == k), H
+            yield J, mult, operators._parity_band(p, J, n_max, k)
 
 
 def _parity_blocks(p: ProbeParams, n_max, sector="full"):
-    """(J, mult, rows, E, V) per parity block of each total-spin sector, solved densely.
-
-    `rows` are a block's rows in the sector basis, E and V its spectrum.
-    """
-    for J, mult, _, rows, H in _blocks(p, n_max, sector):
-        yield (J, mult, rows, *eigendecompose(H()[np.ix_(rows, rows)]))
+    """(J, mult, m, n, E, V) per parity block of each total-spin sector, solved densely:
+    m and n label its states |m, n> in operators._dense's order, E and V its spectrum."""
+    for J, mult, band in _blocks(p, n_max, sector):
+        H, m, n = operators._dense(*band)
+        yield (J, mult, m, n, *eigendecompose(H))
 
 
 def _pairs(E, V, jz, omega):
@@ -356,36 +348,33 @@ def _sector_data(p: ProbeParams, n_max, sector="full", beta=None) -> Spectra:
     the rule of the module docstring; at beta = None, the default, every block is dense.
     """
     kubo = None if beta is None else _kubo_prefactor(beta) * -np.expm1(-beta * NEAR * p.omega)
-    nb = n_max + 1
     recs = []
     solver = dict.fromkeys(("dense", "window", "skipped", "states"), 0)
     e0, floor = np.inf, 0.0  # the least energy kept so far, >= the ground energy, and its floor
-    for J, mult, k, rows, H in _blocks(p, n_max, sector):
-        d, rec = len(rows), None
-        m, n = rows // nb - J, rows % nb
+    for J, mult, (ab, m, n) in _blocks(p, n_max, sector):
+        d, rec = ab.shape[1], None
         if beta is not None:
             with np.errstate(divide="ignore", over="ignore"):  # inf where floor = 0 or e0 = inf
                 lb_skip = e0 + max(1.0, np.log(mult * d * p.N**2 / CUT) - np.log(floor)) / beta
-            if d >= D_WINDOW or (p.epsilon * m + p.omega * n).min() > lb_skip:  # min H_ii >= lb
-                ab, bm, bn = operators._parity_band(p, J, n_max, k)
-                # Gershgorin: min_i H_ii - sum_{j != i} H_ij, as no H_ij < 0; ab[q, j] = H_{j+q, j}
-                off = 0.0
-                for q in range(1, len(ab)):
-                    row = ab[q].copy()
-                    row[q:] += ab[q, : d - q]
-                    off = off + row
-                lb = (ab[0] - off).min()
-                if lb > lb_skip:
-                    solver["skipped"] += 1
-                    continue
-                if len(ab) == 1:  # g = 0: H and Jz are diagonal, so r = R = 0 and no pair is near
-                    o, z = np.argsort(ab[0], kind="stable"), np.zeros(d)
-                    rec = (ab[0][o], bm[o], z, z, 1.0 * (bn[o] == n_max), (o[:0], z[:0], z[:0]))
-                elif d >= D_WINDOW:
-                    rec = _window(ab, bm, bn == n_max, mult, beta, e0, lb, p.omega)
+            # Gershgorin: min_i H_ii - sum_{j != i} H_ij, as no H_ij < 0; ab[q, j] = H_{j+q, j}
+            off = 0.0
+            for q in range(1, len(ab)):
+                row = ab[q].copy()
+                row[q:] += ab[q, : d - q]
+                off = off + row
+            lb = (ab[0] - off).min()
+            if lb > lb_skip:
+                solver["skipped"] += 1
+                continue
+            if d >= D_WINDOW and len(ab) == 1:  # g = 0: H and Jz diagonal, r = R = 0, none near
+                o, z = np.argsort(ab[0], kind="stable"), np.zeros(d)
+                rec = (ab[0][o], m[o], z, z, 1.0 * (n[o] == n_max), (o[:0], z[:0], z[:0]))
+            elif d >= D_WINDOW:
+                rec = _window(ab, m, n == n_max, mult, beta, e0, lb, p.omega)
         solver["dense" if rec is None else "window"] += 1
         if rec is None:
-            E, V = eigendecompose(H()[np.ix_(rows, rows)])
+            H, m, n = operators._dense(ab, m, n)
+            E, V = eigendecompose(H)
             d1, M2, R, near = _pairs(E, V, m, p.omega)
             rec = (E, d1, M2.sum(axis=1), R, np.square(V[n == n_max]).sum(axis=0), near)
         E, d1, r, R, t, (i, gap, m2) = rec
@@ -498,14 +487,12 @@ def reduced_probe_state(p: ProbeParams, beta, n_max, sector="full"):
     """
     _kubo_prefactor(beta)
     raw = list(_parity_blocks(p, n_max, sector))
-    e0 = min(E[0] for _, _, _, E, _ in raw)
+    e0 = min(E[0] for *_, E, _ in raw)
     blocks = {}  # J -> (mult, rho), in sector order
-    for J, mult, rows, E, V in raw:
-        # the block's eigenvectors at their rows, then the partial trace over
-        # the Fock index (fast axis)
-        U = np.zeros((int(round(2 * J + 1)) * (n_max + 1), V.shape[1]))
-        U[rows] = V
-        U = U.reshape(-1, n_max + 1, V.shape[1])
+    for J, mult, m, n, E, V in raw:
+        # the block's eigenvectors at their states (m + J, n), then the trace over n
+        U = np.zeros((int(round(2 * J + 1)), n_max + 1, V.shape[1]))
+        U[(m + J).astype(int), n] = V
         rho = np.einsum("ank,bnk,k->ab", U, U, np.exp(-beta * (E - e0)))
         blocks[J] = (mult, blocks[J][1] + rho if J in blocks else rho)
     total = sum(mult * np.trace(rho) for mult, rho in blocks.values())

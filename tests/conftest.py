@@ -17,10 +17,9 @@ settings.load_profile("default")
 
 @pytest.fixture
 def solve_calls(monkeypatch):
-    """A list that collects the name of each band, sector build and dense solve made."""
+    """A list that collects the name of each band built and dense solve made."""
     calls = []
-    for module, name in ((operators, "_parity_band"), (thermal, "build_mapped_hamiltonian"),
-                         (thermal, "eigendecompose")):
+    for module, name in ((operators, "_parity_band"), (thermal, "eigendecompose")):
         def counted(*args, name=name, call=getattr(module, name)):
             calls.append(name)
             return call(*args)

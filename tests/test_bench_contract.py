@@ -1,8 +1,9 @@
 """The benchmark's tracer (perfbench/tracer.py) binds rcprobe functions by name.
 
 It wraps each (module, function) pair in its TARGETS, reads the
-`(p, J, n_max)` arguments and the `.dim` of build_mapped_hamiltonian, and
-counts numpy.linalg.eigh calls.  A rename or a changed signature would only
+`(p, J, n_max)` arguments and the `.dim` of build_mapped_hamiltonian (which
+no solve calls: a dense block is written out from its band), and counts
+numpy.linalg.eigh calls.  A rename or a changed signature would only
 surface when the benchmark runs with `--trace 1`; these tests catch it here.
 The tracer file is loaded, never modified.
 """
@@ -54,7 +55,7 @@ def test_every_traced_name_resolves(fresh_rcprobe):
         assert callable(getattr(getattr(fresh_rcprobe, mod), fname)), (mod, fname)
 
 
-def test_traced_snr_point_sees_one_build_per_sector_and_one_eigh_per_block(fresh_rcprobe):
+def test_traced_snr_point_sees_no_build_and_one_eigh_per_block(fresh_rcprobe):
     rc = fresh_rcprobe
     t = tracer.Tracer()
     t.install(rc)
@@ -63,14 +64,19 @@ def test_traced_snr_point_sees_one_build_per_sector_and_one_eigh_per_block(fresh
     finally:
         t.restore()
     build = "operators.build_mapped_hamiltonian"
-    # N = 3: sectors J = 3/2 (4 x 17 rows) and J = 1/2 (2 x 17), two parity blocks each
-    assert sorted(info[1] for _, _, name, *_, info in t.spans if name == build) == [34, 68]
+    # N = 3: sectors J = 3/2 (4 x 17 rows) and J = 1/2 (2 x 17), two parity blocks each,
+    # every block written out dense from its band, so no sector is built
+    assert [span for span in t.spans if span[2] == build] == []
+    assert sorted(info for _, _, name, *_, info in t.spans if name == tracer.EIGH) == [
+        17, 17, 34, 34]
     assert sum(1 for span in t.spans if span[2] == tracer.EIGH) == 4
     metrics, bases = tracer.summarize(t.spans, points=1)
-    assert metrics[f"{build}.calls"][0] == 2
-    assert metrics["operators.dim_max"][0] == 68
+    # the build metrics, and distinct_frac, which counts builds, read 0; d3_sum keeps the sizes
+    assert metrics[f"{build}.calls"][0] == 0
+    assert metrics["operators.dim_max"][0] == 0
     assert metrics["thermal.eigh.calls"][0] == 4
-    assert metrics["thermal.eigh.distinct_frac"][0] == 0.5
+    assert metrics["thermal.eigh.d3_sum"][0] == 2 * 17**3 + 2 * 34**3
+    assert metrics["thermal.eigh.distinct_frac"][0] == 0.0
     assert metrics["thermal.snr_exact.calls"][0] == 1
 
 

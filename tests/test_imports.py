@@ -109,9 +109,9 @@ steps["equal"] = threaded == sweep.emit_csv(sweep.run_sweep(cfg, jobs=1))
     assert steps["equal"]
 
 
-def test_exact_figure_builds_no_band(monkeypatch, tmp_path):
-    # fig2a's blocks are small: the least diagonal entry keeps each from the skip test
-    # before any band is built
+def test_exact_figure_builds_each_band_once(monkeypatch, tmp_path):
+    # fig2a is one beta sweep at N = 1, so one solve: its sector J = 1/2 is read from its
+    # two parity bands, each built once, and written out dense from them
     calls = []
     band = operators._parity_band
 
@@ -121,4 +121,4 @@ def test_exact_figure_builds_no_band(monkeypatch, tmp_path):
 
     monkeypatch.setattr(operators, "_parity_band", counted)
     assert cli.main(["reproduce", "fig2a", "--out", str(tmp_path / "fig2a.csv")]) == 0
-    assert calls == []
+    assert sorted(args[1:] for args in calls) == [(0.5, 40, 0), (0.5, 40, 1)]

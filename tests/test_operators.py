@@ -215,6 +215,7 @@ def _gathered_band(p, J, n_max, k):
 
 
 def test_parity_band_is_the_gathered_sector_block_bitwise():
+    # the band, gathered from the sector, and the band written back out dense
     rng = np.random.default_rng(18)
     for case in range(100):
         N, n_max = int(rng.integers(1, 13)), int(rng.integers(1, 71))
@@ -222,11 +223,19 @@ def test_parity_band_is_the_gathered_sector_block_bitwise():
         eps = 0.0 if case % 5 == 0 else float(rng.uniform(0.0, 2.0))
         p = ProbeParams(N=N, epsilon=eps, omega=1.0, g=g)
         for J, _ in sector_multiplicities(N).sectors:
+            H = build_mapped_hamiltonian(p, J, n_max).entries
             for k in (0, 1):
                 got, ref = operators._parity_band(p, J, n_max, k), _gathered_band(p, J, n_max, k)
                 assert got[0].shape == ref[0].shape, (N, eps, g, J, n_max, k)
                 for a, b in zip(got, ref):
                     assert a.tobytes() == b.tobytes(), (N, eps, g, J, n_max, k)
+                # written out dense, the band is the sector's block, rows in sector order
+                dense, m, n = operators._dense(*got)
+                rows = np.flatnonzero(_parity(J, n_max) == k)
+                block = H[np.ix_(rows, rows)]
+                assert np.array_equal(dense, block) and dense.tobytes() == block.tobytes()
+                assert np.array_equal(m, rows // (n_max + 1) - J)
+                assert np.array_equal(n, rows % (n_max + 1))
 
 
 def test_bad_params_rejected():

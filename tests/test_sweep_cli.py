@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from rcprobe import dicke, thermal
+from rcprobe import dicke, operators, thermal
 from rcprobe.cli import EXIT_CONFIG, EXIT_DOMAIN, figure_config_text, figure_ids, main
 from rcprobe.dicke import DickeParams, critical_temperature
 from rcprobe.errors import ConfigError, NumericalDomainError
@@ -540,16 +540,27 @@ def test_cli_sweep_json_writes_null_for_a_refused_row(tmp_path, capsys):
     ["sweep", "--config", "{dir}"],
     ["fit", "--input", "{dir}", "--window", "1", "5"],
     ["reproduce", "figS1", "--out", "{dir}"],
+    ["reproduce", "fig2a", "--out", "{dir}"],
     ["sweep", "--config", "{latin1}"],
-], ids=("config-dir", "input-dir", "out-dir", "config-latin1"))
-def test_cli_file_errors_are_config_errors(tmp_path, capsys, argv):
-    # a file that cannot be read or written is named in a config error, not a traceback
+], ids=("config-dir", "input-dir", "out-dir", "out-dir-exact", "config-latin1"))
+def test_cli_file_errors_are_config_errors(tmp_path, capsys, solve_calls, argv):
+    # a file that cannot be read or written is named in a config error, not a traceback,
+    # and before any row is solved: --out is created or emptied once the config parses
     latin1 = tmp_path / "latin1.cfg"
     latin1.write_bytes("schema_version = 1\n# \xb0C\n".encode("latin-1"))
     path = next(a for a in argv if a.startswith("{")).format(dir=tmp_path, latin1=latin1)
     assert main([a.format(dir=tmp_path, latin1=latin1) for a in argv]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+    assert solve_calls == []
+
+
+def test_out_file_holds_the_printed_rows(tmp_path, capsys):
+    out = tmp_path / "fig2a.csv"
+    out.write_text("an earlier run's longer text\n" * 200)
+    assert main(["reproduce", "fig2a", "--out", str(out)]) == 0
+    assert main(["reproduce", "fig2a"]) == 0
+    assert out.read_text() == capsys.readouterr().out
 
 
 def test_auto_rows_keep_the_convergence_loop_verdict():
@@ -615,24 +626,24 @@ def _reference_row(cfg, x):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_beta_sweep_solves_each_sector_once_per_cutoff(monkeypatch, jobs):
-    builds, solves = [], []
-    build, solve = thermal.build_mapped_hamiltonian, thermal.eigendecompose
+    bands, solves = [], []
+    band, solve = operators._parity_band, thermal.eigendecompose
 
-    def counted_build(p, J, n_max):
-        builds.append((J, n_max))
-        return build(p, J, n_max)
+    def counted_band(p, J, n_max, k):
+        bands.append((J, n_max, k))
+        return band(p, J, n_max, k)
 
     def counted_solve(A):
         solves.append(A.shape[0])
         return solve(A)
 
     cfg = _fixed_cutoff_config("beta_omega", [0.5, 2, 5, 9, 14, 30])
-    monkeypatch.setattr(thermal, "build_mapped_hamiltonian", counted_build)
+    monkeypatch.setattr(operators, "_parity_band", counted_band)
     monkeypatch.setattr(thermal, "eigendecompose", counted_solve)
     rows = run_sweep(cfg, jobs=jobs)
-    # N = 2 has two sectors (J = 1, 0), each built at n_max = 16 only
-    # and solved as its two parity blocks
-    assert sorted(builds) == [(0.0, 16), (1.0, 16)]
+    # N = 2 has two sectors (J = 1, 0), each solved at n_max = 16 only as its two
+    # parity blocks, each block's band built once
+    assert sorted(bands) == [(0.0, 16, 0), (0.0, 16, 1), (1.0, 16, 0), (1.0, 16, 1)]
     assert len(solves) == 2 * 2
     assert sum(solves) == (3 + 1) * 17  # the blocks cover every row
     monkeypatch.undo()

@@ -75,10 +75,11 @@ def test_parity_blocks_split_every_sector():
             for even, odd in zip(blocks[::2], blocks[1::2]):
                 J, nb = even[0], n_max + 1
                 assert odd[0] == J
-                for parity, (_, _, rows, E, _) in enumerate((even, odd)):
-                    assert np.all((rows // nb + rows % nb) % 2 == parity)
-                    assert len(E) == len(rows)
-                both = np.sort(np.r_[even[2], odd[2]])
+                for parity, (_, _, m, n, E, _) in enumerate((even, odd)):
+                    assert np.all((m + J + n) % 2 == parity)
+                    assert len(E) == len(m) == len(n)
+                # each state |m, n> of the sector, at its row (m + J)*nb + n, in one block
+                both = np.sort(np.r_[(even[2] + J) * nb + even[3], (odd[2] + J) * nb + odd[3]])
                 assert np.array_equal(both, np.arange((2 * J + 1) * nb))
 
 
@@ -87,7 +88,7 @@ def test_parity_blocks_hold_the_sector_spectrum():
     blocks = list(_parity_blocks(p, 20))
     for J, _ in sector_multiplicities(3).sectors:
         H = build_mapped_hamiltonian(p, J, 20).entries
-        both = np.sort(np.concatenate([E for J1, _, _, E, _ in blocks if J1 == J]))
+        both = np.sort(np.concatenate([E for J1, *_, E, _ in blocks if J1 == J]))
         assert np.allclose(both, np.linalg.eigvalsh(H), rtol=0, atol=1e-12)
 
 
@@ -220,8 +221,8 @@ def test_top_level_population_is_the_reduced_weight_of_level_n_max():
     raw = list(_parity_blocks(p, n))
     e0 = min(E[0] for *_, E, _ in raw)
     pops = np.zeros(n + 1)
-    for J, mult, rows, E, V in raw:
-        np.add.at(pops, rows % (n + 1), mult * (V**2) @ np.exp(-beta * (E - e0)))
+    for _, mult, _, level, E, V in raw:
+        np.add.at(pops, level, mult * (V**2) @ np.exp(-beta * (E - e0)))
     got = thermal_observables(p, beta, n).p_top
     assert got == pytest.approx(pops[n] / pops.sum(), rel=1e-12)
     assert 1e-6 < got < 1e-2
@@ -427,8 +428,8 @@ def _direct(p, beta, n_max):
     one dot product each over the states of every block.
     """
     blocks = []
-    for J, mult, rows, E, V in _parity_blocks(p, n_max):
-        M = V.T @ ((rows // (n_max + 1) - J)[:, None] * V)
+    for _, mult, m, _, E, V in _parity_blocks(p, n_max):
+        M = V.T @ (m[:, None] * V)
         d1 = np.diag(M).copy()
         np.fill_diagonal(M, 0.0)
         M *= M
@@ -801,19 +802,27 @@ def test_large_point_solves_no_whole_band(monkeypatch):
 
 
 def test_large_point_never_builds_a_skipped_sector(monkeypatch):
-    # the window blocks of J = 5 .. 3 and the first of J = 2 are read from their bands,
-    # and the other five blocks are skipped: no sector is built
-    built = []
-    build = thermal.build_mapped_hamiltonian
+    # each of the 12 blocks is read from its band, built once: the window blocks of
+    # J = 5 .. 3 and the first of J = 2 are solved from it and the other five are
+    # skipped, so no block is written out dense
+    bands, written = [], []
+    band, dense = operators._parity_band, operators._dense
 
-    def counted(p, J, n_max):
-        built.append(J)
-        return build(p, J, n_max)
+    def counted_band(p, J, n_max, k):
+        bands.append((J, k))
+        return band(p, J, n_max, k)
 
-    monkeypatch.setattr(thermal, "build_mapped_hamiltonian", counted)
+    def counted_dense(ab, m, n):
+        written.append(bands[-1])
+        return dense(ab, m, n)
+
+    monkeypatch.setattr(operators, "_parity_band", counted_band)
+    monkeypatch.setattr(operators, "_dense", counted_dense)
     p = ProbeParams(N=10, epsilon=1.0, omega=1.0, g=0.2)
-    assert snr_exact(p, 20.0, n_max=128).solver["skipped"] == 5
-    assert built == []
+    solver = snr_exact(p, 20.0, n_max=128).solver
+    assert (solver["skipped"], solver["dense"]) == (5, 0)
+    assert bands == [(J, k) for J in (5.0, 4.0, 3.0, 2.0, 1.0, 0.0) for k in (0, 1)]
+    assert written == []
 
 
 def test_strong_coupling_window_grows_to_the_whole_band():
@@ -830,29 +839,31 @@ def test_strong_coupling_window_grows_to_the_whole_band():
 
 
 @pytest.mark.parametrize("N, g, window, dense", [(16, 0.5, 4, 0), (10, 0.002, 4, 3)])
-def test_only_sectors_with_a_dense_block_are_built(monkeypatch, N, g, window, dense):
-    built, solved, current = [], [], []  # current: the J of the block being solved
-    blocks, build, solve = thermal._blocks, thermal.build_mapped_hamiltonian, thermal.eigendecompose
+def test_only_blocks_solved_dense_are_written_out(monkeypatch, N, g, window, dense):
+    # each block's band is built once, as the block is reached, and only the blocks
+    # solved dense are written out from theirs
+    bands, written, solved = [], [], []  # (J, k) of each; bands[-1] is the current block
+    band, write, solve = operators._parity_band, operators._dense, thermal.eigendecompose
 
-    def tracked(*args):
-        for block in blocks(*args):
-            current.append(block[0])
-            yield block
+    def counted_band(p, J, n_max, k):
+        bands.append((J, k))
+        return band(p, J, n_max, k)
 
-    def counted_build(p, J, n_max):
-        built.append(J)
-        return build(p, J, n_max)
+    def counted_dense(ab, m, n):
+        written.append(bands[-1])
+        return write(ab, m, n)
 
     def counted_solve(A):
-        solved.append(current[-1])
+        solved.append(bands[-1])
         return solve(A)
 
-    monkeypatch.setattr(thermal, "_blocks", tracked)
-    monkeypatch.setattr(thermal, "build_mapped_hamiltonian", counted_build)
+    monkeypatch.setattr(operators, "_parity_band", counted_band)
+    monkeypatch.setattr(operators, "_dense", counted_dense)
     monkeypatch.setattr(thermal, "eigendecompose", counted_solve)
     s = _sector_data(ProbeParams(N=N, epsilon=1.0, omega=1.0, g=g), 64, beta=20.0)
     assert (s.solver["window"], s.solver["dense"]) == (window, dense)
-    assert built == sorted(set(solved), reverse=True)
+    assert bands == [(J, k) for J, _ in sector_multiplicities(N).sectors for k in (0, 1)]
+    assert written == solved and len(solved) == dense
 
 
 def _seeded_skip_points(count, seed=24):
